@@ -48,8 +48,6 @@ from .errors import (
 )
 from .measurement import (
     MeasurementRecord,
-    PhaseLikelihood,
-    density_grid,
     likelihood_density,
     record_to_dict,
     sample_outcomes,
@@ -120,10 +118,8 @@ __all__ = [
     "fisher_information",
     "circular_moments",
     "information_report",
-    "PhaseLikelihood",
     "MeasurementRecord",
     "likelihood_density",
-    "density_grid",
     "sample_outcomes",
     "record_to_dict",
     "save_record",

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import canonical_density, grid_angles, validate_grid_size
+from .circular import grid_angles, validate_grid_size
 from .errors import ConfigurationError
-from .states import TWO_PI, phase_amplitude
+from .states import TWO_PI, _likelihood_rows, phase_amplitude
 
 __all__ = [
     "likelihood_density",
-    "PhaseLikelihood",
-    "density_grid",
     "MeasurementRecord",
     "sample_outcomes",
     "record_to_dict",
@@ -41,39 +39,13 @@ def likelihood_density(state, delta):
     return np.abs(amp) ** 2 / TWO_PI
 
 
-def density_grid(state, grid_size):
-    """Canonical density at the uniform grid nodes, as a CircularDensity."""
-    return canonical_density(state, grid_size)
-
-
-@dataclass(frozen=True)
-class PhaseLikelihood:
-    """A state's canonical measurement, bundled with its working grid."""
-
-    state: object
-    grid_size: int = 4096
-
-    def __post_init__(self):
-        validate_grid_size(self.grid_size)
-
-    def density(self, delta):
-        return likelihood_density(self.state, delta)
-
-    def grid(self):
-        return density_grid(self.state, self.grid_size)
-
-    def sample(self, true_phase, count, seed):
-        return sample_outcomes(
-            self.state, true_phase, count, seed, grid_size=self.grid_size
-        )
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Outcomes of repeated canonical measurements at one true phase.
 
-    ``true_phase`` is stored reduced to [0, 2 pi); ``outcomes`` is read-only
-    and every entry lies in [0, 2 pi).
+    ``true_phase`` must be finite and is stored reduced to [0, 2 pi);
+    ``outcomes`` is read-only and every entry lies in [0, 2 pi), so NaN is
+    refused.
     """
 
     true_phase: float
@@ -81,11 +53,13 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self):
+        if not np.isfinite(self.true_phase):
+            raise ConfigurationError("true_phase must be finite, got %r" % (self.true_phase,))
         object.__setattr__(self, "true_phase", float(np.mod(self.true_phase, TWO_PI)))
         outs = np.asarray(self.outcomes, dtype=np.float64)
         if outs.ndim != 1 or outs.size == 0:
             raise ConfigurationError("outcomes must form a non-empty 1-d array")
-        if np.any(outs < 0.0) or np.any(outs >= TWO_PI):
+        if not np.all((outs >= 0.0) & (outs < TWO_PI)):
             raise ConfigurationError("outcomes must lie in [0, 2 pi)")
         outs = outs.copy()
         outs.flags.writeable = False
@@ -98,10 +72,15 @@ class MeasurementRecord:
 
 
 def _draw_outcomes(state, true_phase, count, rng, grid_size):
-    """Inverse-CDF draws from the gridded outcome density, given an RNG."""
+    """Inverse-CDF draws from the gridded outcome density, given an RNG.
+
+    The density table comes from the FFT kernel that the posterior applies
+    in fixed-size outcome chunks, here as one inverse-FFT row at
+    ``true_phase``.  The RNG supplies exactly ``count`` uniforms.
+    """
     g = validate_grid_size(grid_size)
     nodes = grid_angles(g)
-    density = likelihood_density(state, nodes - true_phase)
+    density = _likelihood_rows(state, [true_phase], g, forward=False)[0]
     cdf = np.concatenate(([0.0], np.cumsum(density) * TWO_PI / g))
     cdf /= cdf[-1]
     u = rng.random(count)
@@ -119,7 +98,7 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     ----------
     state : StateVector
     true_phase : float
-        True phase in radians (any real; reduced mod 2 pi).
+        True phase in radians (any finite real; reduced mod 2 pi).
     count : int
         Number of outcomes, at least 1.
     seed : int
@@ -134,6 +113,8 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     """
     if count < 1:
         raise ConfigurationError("count must be at least 1, got %r" % (count,))
+    if not np.isfinite(true_phase):
+        raise ConfigurationError("true_phase must be finite, got %r" % (true_phase,))
     rng = np.random.default_rng(seed)
     outs = _draw_outcomes(state, float(true_phase), int(count), rng, grid_size)
     return MeasurementRecord(true_phase=float(true_phase), outcomes=outs, seed=int(seed))

@@ -64,9 +64,10 @@ class OptimizerConfig:
     starts : int
         Number of random restarts.
     step_init : float
-        Initial line-search step.
+        Initial line-search step, positive and finite.
     convergence_tol : float
-        An accepted improvement below this declares the run converged.
+        An accepted improvement below this declares the run converged;
+        positive and finite.
     max_iters : int
         Iteration cap per start.
     seed : int
@@ -91,10 +92,10 @@ class OptimizerConfig:
             )
         if self.starts < 1:
             raise ConfigurationError("starts must be at least 1")
-        if not self.step_init > 0.0:
-            raise ConfigurationError("step_init must be positive")
-        if not self.convergence_tol > 0.0:
-            raise ConfigurationError("convergence_tol must be positive")
+        if not 0.0 < self.step_init < np.inf:
+            raise ConfigurationError("step_init must be positive and finite")
+        if not 0.0 < self.convergence_tol < np.inf:
+            raise ConfigurationError("convergence_tol must be positive and finite")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
 

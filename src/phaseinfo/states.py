@@ -195,10 +195,30 @@ def phase_amplitude_grid(state, grid_size):
         raise InvalidStateError(
             "grid of %d nodes cannot hold %d amplitudes" % (grid_size, state.dim)
         )
-    padded = np.zeros(grid_size, dtype=np.complex128)
-    padded[: state.dim] = state.amplitudes
-    # ifft includes a 1/G factor; undo it so entry k equals sum_n c_n e^{i n phi_k}.
-    return np.fft.ifft(padded) * grid_size
+    # Unscaled inverse DFT of the zero-padded amplitudes: entry k is f(phi_k).
+    return np.fft.ifft(state.amplitudes, n=grid_size, norm="forward")
+
+
+def _likelihood_rows(state, offsets, grid_size, forward=True):
+    """Canonical likelihood on the grid phi_k = 2 pi k / G, one row per offset.
+
+    With ``forward`` row j is |f(x_j - phi_k)|^2 / (2 pi), the posterior's
+    view of outcome x_j, and equals the length-G DFT of c_n e^{i n x_j}.
+    Otherwise it is |f(phi_k - x_j)|^2 / (2 pi), the sampler's table at true
+    phase x_j, from the unscaled inverse DFT of c_n e^{-i n x_j}.  Offsets
+    are reduced mod 2 pi first; the result has shape (len(offsets), G).
+    """
+    if grid_size < state.dim:
+        raise InvalidStateError(
+            "grid of %d nodes cannot hold %d amplitudes" % (grid_size, state.dim)
+        )
+    x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
+    phase = np.multiply.outer(x, np.arange(state.dim))
+    if forward:
+        amp = np.fft.fft(state.amplitudes * np.exp(1j * phase), n=grid_size)
+    else:
+        amp = np.fft.ifft(state.amplitudes * np.exp(-1j * phase), n=grid_size, norm="forward")
+    return np.abs(amp) ** 2 / TWO_PI
 
 
 def state_to_dict(state):

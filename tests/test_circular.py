@@ -206,6 +206,21 @@ def test_posterior_outcome_order_irrelevant(n1_state):
     assert np.max(np.abs(base.values - chained.values)) <= 1e-9
 
 
+def test_posterior_across_outcome_chunks():
+    # 40 outcomes span several batched-FFT chunks; the batch posterior must
+    # match a chain of single updates and not depend on outcome order.
+    g = 4096
+    s = pi.random_state(8, 3)
+    outcomes = pi.sample_outcomes(s, 1.0, 40, 3, grid_size=g).outcomes
+    base = pi.posterior_from_outcomes(s, outcomes, g)
+    chained = pi.uniform_prior(g)
+    for x in outcomes:
+        chained = pi.posterior_update(chained, s, x)
+    assert np.max(np.abs(base.values - chained.values)) <= 1e-9
+    reversed_ = pi.posterior_from_outcomes(s, outcomes[::-1], g)
+    assert np.max(np.abs(base.values - reversed_.values)) <= 1e-12
+
+
 def test_posterior_long_chain_well_normalized(n1_state):
     g = 4096
     record = pi.sample_outcomes(n1_state, 2.0, 200, 7, grid_size=g)

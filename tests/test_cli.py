@@ -152,6 +152,11 @@ def test_optimize_rejects_bad_config(capsys):
     assert main(["optimize", "--max-photon", "2", "--grid", "100"]) == 2
 
 
+def test_optimize_rejects_infinite_step(capsys):
+    assert main(["optimize", "--max-photon", "2", "--step-init", "inf"]) == 2
+    assert "step_init" in capsys.readouterr().err
+
+
 # sweep
 
 
@@ -231,6 +236,13 @@ def test_simulate_deterministic_bytes(n1_state, write_state, tmp_path):
 def test_simulate_rejects_zero_shots(n1_state, write_state):
     path = write_state(n1_state)
     assert main(["simulate", "--state", path, "--true-phase", "0", "--shots", "0"]) == 2
+
+
+def test_simulate_rejects_non_finite_true_phase(n1_state, write_state, capsys):
+    path = write_state(n1_state)
+    for bad in ("nan", "inf", "-inf"):
+        assert main(["simulate", "--state", path, "--true-phase=" + bad, "--shots", "3"]) == 2
+        assert "true_phase" in capsys.readouterr().err
 
 
 # bounds

@@ -33,21 +33,22 @@ def test_likelihood_periodic_and_reduces_large_arguments(n1_state):
     )
 
 
-def test_density_grid_matches_pointwise(n1_state):
+def test_canonical_density_matches_pointwise(n1_state):
     g = 1024
-    d = pi.density_grid(n1_state, g)
+    d = pi.canonical_density(n1_state, g)
     assert np.allclose(d.values, pi.likelihood_density(n1_state, pi.grid_angles(g)), atol=1e-12)
     assert abs(d.values.sum() * 2 * np.pi / g - 1.0) <= 1e-12
 
 
-def test_phase_likelihood_wrapper(n1_state):
-    like = pi.PhaseLikelihood(n1_state, 256)
-    assert like.grid().grid_size == 256
-    assert abs(like.density(0.0) - 1.0 / np.pi) <= 1e-12
-    rec = like.sample(0.5, 3, 9)
+def test_likelihood_grid_and_sampling_at_small_grid(n1_state):
+    assert pi.canonical_density(n1_state, 256).grid_size == 256
+    assert abs(pi.likelihood_density(n1_state, 0.0) - 1.0 / np.pi) <= 1e-12
+    rec = pi.sample_outcomes(n1_state, 0.5, 3, 9, grid_size=256)
     assert rec.count == 3
     with pytest.raises(ConfigurationError):
-        pi.PhaseLikelihood(n1_state, 100)
+        pi.canonical_density(n1_state, 100)
+    with pytest.raises(ConfigurationError):
+        pi.sample_outcomes(n1_state, 0.5, 3, 9, grid_size=100)
 
 
 def test_sampling_deterministic(n1_state):
@@ -72,6 +73,12 @@ def test_sampling_count_validation(n1_state):
     for bad in (0, -5):
         with pytest.raises(ConfigurationError):
             pi.sample_outcomes(n1_state, 0.0, bad, 1)
+
+
+def test_sampling_rejects_non_finite_true_phase(n1_state):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="true_phase"):
+            pi.sample_outcomes(n1_state, bad, 4, 1)
 
 
 def test_fock_outcomes_uniform():
@@ -110,6 +117,11 @@ def test_record_validation():
         pi.MeasurementRecord(0.0, np.array([1.0, 7.0]), 0)  # 7.0 out of range
     with pytest.raises(ConfigurationError):
         pi.MeasurementRecord(0.0, np.array([]), 0)
+    # NaN fails both range comparisons, so it needs its own refusal
+    with pytest.raises(ConfigurationError):
+        pi.MeasurementRecord(0.0, np.array([0.5, np.nan]), 0)
+    with pytest.raises(ConfigurationError):
+        pi.MeasurementRecord(np.nan, np.array([0.5]), 0)
     rec = pi.MeasurementRecord(-1.0, np.array([0.5]), 4)
     assert 0.0 <= rec.true_phase < 2 * np.pi
     assert not rec.outcomes.flags.writeable

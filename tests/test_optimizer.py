@@ -36,6 +36,12 @@ def test_config_validation():
         pi.OptimizerConfig(max_photon=2, max_iters=0)
     with pytest.raises(ConfigurationError):
         pi.OptimizerConfig(max_photon=2, step_init=-0.1)
+    # an infinite step never shrinks under halving, so the line search hung
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            pi.OptimizerConfig(max_photon=2, step_init=bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            pi.OptimizerConfig(max_photon=2, convergence_tol=bad)
 
 
 def test_gradient_matches_finite_differences():

@@ -5,6 +5,7 @@ import pytest
 
 import phaseinfo as pi
 from phaseinfo import InvalidStateError
+from phaseinfo.states import _likelihood_rows
 
 
 def test_normalize_equal_pair():
@@ -75,8 +76,8 @@ def test_gauge_transform_preserves_norm_and_shifts_density():
     beta = 2.0 * np.pi * shift / g
     moved = pi.gauge_transform(s, 0.37, beta)
     assert abs(np.linalg.norm(moved.amplitudes) - 1.0) <= 1e-12
-    base = pi.density_grid(s, g).values
-    shifted = pi.density_grid(moved, g).values
+    base = pi.canonical_density(s, g).values
+    shifted = pi.canonical_density(moved, g).values
     # c_n -> exp(i n beta) c_n turns P(phi) into P(phi + beta)
     assert np.allclose(shifted, np.roll(base, -shift), atol=1e-12)
 
@@ -87,6 +88,43 @@ def test_phase_amplitude_grid_matches_direct_evaluation():
     direct = pi.phase_amplitude(s, pi.grid_angles(g))
     fast = pi.phase_amplitude_grid(s, g)
     assert np.allclose(direct, fast, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid_size", [64, 4096])
+@pytest.mark.parametrize("max_photon", [0, 1, 8, 32])
+def test_likelihood_rows_match_dense_density(max_photon, grid_size):
+    # The FFT kernel against the pointwise sum at random off-grid offsets, in
+    # both orientations: the posterior's f(x - phi_k) and the sampler's
+    # f(phi_k - t).
+    s = pi.random_state(max_photon, 21)
+    x = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 20)
+    nodes = pi.grid_angles(grid_size)
+    for forward, delta in ((True, np.subtract.outer(x, nodes)), (False, np.subtract.outer(nodes, x).T)):
+        rows = _likelihood_rows(s, x, grid_size, forward)
+        dense = pi.likelihood_density(s, delta)
+        assert rows.shape == (x.size, grid_size)
+        live = dense > 1e-12
+        assert np.all(np.abs(rows - dense)[live] <= 1e-12 * dense[live])
+
+
+def test_likelihood_rows_near_density_zeros():
+    # Sine states vanish on the circle; near a zero both evaluations carry
+    # float64 cancellation error, so agreement is absolute, on the peak scale.
+    x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 20)
+    for n in (1, 8, 32):
+        s = pi.sine_state(n)
+        dense = pi.likelihood_density(s, np.subtract.outer(x, pi.grid_angles(4096)))
+        rows = _likelihood_rows(s, x, 4096)
+        assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
+
+
+def test_grid_likelihood_refuses_states_wider_than_the_grid():
+    # a length-64 FFT cannot hold 101 amplitudes without aliasing
+    s = pi.random_state(100, 0)
+    with pytest.raises(InvalidStateError):
+        pi.posterior_update(pi.uniform_prior(64), s, 0.5)
+    with pytest.raises(InvalidStateError):
+        pi.sample_outcomes(s, 0.5, 3, 1, grid_size=64)
 
 
 def test_phase_amplitude_scalar():
