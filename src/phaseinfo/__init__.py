@@ -42,6 +42,7 @@ from .circular import (
 from .errors import (
     ConfigurationError,
     DegeneratePosteriorError,
+    InvalidDensityError,
     InvalidStateError,
     PhaseinfoError,
     UndefinedAsymptoteError,
@@ -89,6 +90,7 @@ __all__ = [
     "NORM_TOL",
     "PhaseinfoError",
     "InvalidStateError",
+    "InvalidDensityError",
     "ConfigurationError",
     "DegeneratePosteriorError",
     "UndefinedAsymptoteError",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .circular import (
     LOG_TWO_PI,
+    _require_integer,
     entropy,
     fisher_information,
     mutual_information_single,
@@ -56,15 +57,9 @@ __all__ = [
 _CHAIN_SLACK = 1e-9
 
 
-def _validate_modes(modes):
-    if not isinstance(modes, (int, np.integer)) or isinstance(modes, bool) or modes < 1:
-        raise ConfigurationError("modes must be a positive integer, got %r" % (modes,))
-    return int(modes)
-
-
 def chain_upper_bound(state, modes, grid_size=4096):
     """Subadditivity bound: M measurements carry at most M * I_1 nats."""
-    m = _validate_modes(modes)
+    m = _require_integer(modes, "modes", 1)
     return m * mutual_information_single(state, grid_size)
 
 
@@ -77,7 +72,7 @@ def asymptotic_information(fisher, modes):
         If ``fisher`` is not strictly positive; a measurement with no Fisher
         information has no Gaussian large-sample limit.
     """
-    m = _validate_modes(modes)
+    m = _require_integer(modes, "modes", 1)
     fisher = float(fisher)
     if not fisher > 0.0:
         raise UndefinedAsymptoteError(
@@ -103,23 +98,23 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     Raises
     ------
     ConfigurationError
-        If ``modes`` exceeds grid_size / 16: posteriors then sharpen beyond
-        what the grid resolves and the entropy quadrature degrades, so the
-        run is refused rather than silently biased.
+        If ``trials`` is not an integer of at least 2, the fewest that give
+        a stderr.  If ``modes`` exceeds grid_size / 16: posteriors then
+        sharpen beyond what the grid resolves and the entropy quadrature
+        degrades, so the run is refused rather than silently biased.
     DegeneratePosteriorError
         Propagated from any trial, tagged with the trial index.
     """
-    m = _validate_modes(modes)
+    m = _require_integer(modes, "modes", 1)
     g = validate_grid_size(grid_size)
-    if trials < 2:
-        raise ConfigurationError("trials must be at least 2 to estimate a stderr")
+    trials = _require_integer(trials, "trials", 2)
     if m > g // 16:
         raise ConfigurationError(
             "modes = %d too large for grid %d: posterior width ~ 1/sqrt(M F) "
             "needs M <= grid/16 to stay resolved" % (m, g)
         )
-    children = np.random.SeedSequence(seed).spawn(int(trials))
-    values = np.empty(int(trials))
+    children = np.random.SeedSequence(seed).spawn(trials)
+    values = np.empty(trials)
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
         true_phase = TWO_PI * rng.random()
@@ -155,10 +150,8 @@ class BoundReport:
     single_info: float
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ConfigurationError("modes must be positive")
-        if self.mc_trials < 2:
-            raise ConfigurationError("mc_trials must be at least 2")
+        _require_integer(self.modes, "modes", 1)
+        _require_integer(self.mc_trials, "mc_trials", 2)
         if not self.mc_stderr >= 0.0:
             raise ConfigurationError("mc_stderr must be nonnegative")
         if not (np.isfinite(self.fisher) and self.fisher >= 0.0):
@@ -202,7 +195,7 @@ class BoundReport:
 
 def bound_report(state, modes, trials=500, seed=0, grid_size=4096):
     """Evaluate every bound for one (state, M) pair; deterministic per seed."""
-    m = _validate_modes(modes)
+    m = _require_integer(modes, "modes", 1)
     single = mutual_information_single(state, grid_size)
     fisher = fisher_information(state, grid_size)
     mc_mean, mc_stderr = monte_carlo_information(

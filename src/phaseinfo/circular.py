@@ -14,11 +14,17 @@ Conventions used throughout:
   of the canonical measurement density.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePosteriorError
+from .errors import (
+    ConfigurationError,
+    DegeneratePosteriorError,
+    InvalidDensityError,
+    InvalidStateError,
+)
 from .states import TWO_PI, _likelihood_rows, phase_amplitude_grid
 
 __all__ = [
@@ -75,6 +81,13 @@ def validate_grid_size(grid_size):
     return g
 
 
+def _require_integer(value, name, minimum):
+    """``value`` as int if it is a non-bool integer >= ``minimum``; floats are refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CircularDensity:
     """Nonnegative density on the uniform circular grid, integrating to 1.
@@ -90,9 +103,9 @@ class CircularDensity:
 
     Raises
     ------
-    ValueError
+    InvalidDensityError
         If values are negative, non-finite, or the midpoint-rule integral
-        differs from 1 by more than 1e-9.
+        differs from 1 by more than 1e-9.  It is also a ``ValueError``.
     """
 
     values: np.ndarray
@@ -101,14 +114,14 @@ class CircularDensity:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("density values must form a non-empty 1-d array")
+            raise InvalidDensityError("density values must form a non-empty 1-d array")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
+            raise InvalidDensityError("density values must be finite")
         if np.any(vals < 0.0):
-            raise ValueError("density values must be nonnegative")
+            raise InvalidDensityError("density values must be nonnegative")
         total = float(vals.sum()) * TWO_PI / vals.size
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(
+            raise InvalidDensityError(
                 "density integrates to %.17g, expected 1 within 1e-9" % total
             )
         vals = vals.copy()
@@ -117,9 +130,9 @@ class CircularDensity:
         if self.log_values is not None:
             logs = np.asarray(self.log_values, dtype=np.float64)
             if logs.shape != vals.shape:
-                raise ValueError("log_values shape must match values")
+                raise InvalidDensityError("log_values shape must match values")
             if np.any(np.isnan(logs)) or np.any(logs == np.inf):
-                raise ValueError("log_values must be free of NaN and +inf")
+                raise InvalidDensityError("log_values must be free of NaN and +inf")
             logs = logs.copy()
             logs.flags.writeable = False
             object.__setattr__(self, "log_values", logs)
@@ -137,17 +150,32 @@ def uniform_prior(grid_size):
     return CircularDensity(vals, logs)
 
 
+def _canonical_values(amplitudes, grid_size):
+    """|f(phi_k)|^2 / (2 pi) on the grid: one real inverse FFT of the lags
+    r_m = sum_n c_{n+m} conj(c_n), m = -N .. N.  Lags m >= G/2 alias onto the
+    Hermitian half spectrum at G - m as conj(r_m).  May round below zero.
+    """
+    n = amplitudes.size
+    if grid_size < n:
+        raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, n))
+    lags = np.correlate(amplitudes, amplitudes, "full")[n - 1 :] / TWO_PI
+    half = np.zeros(grid_size // 2 + 1, dtype=np.complex128)
+    half[: min(n, half.size)] = lags[: half.size]
+    folded = np.arange(grid_size // 2, n)
+    half[grid_size - folded] += np.conj(lags[folded])
+    return np.fft.irfft(half, n=grid_size, norm="forward")
+
+
 def canonical_density(state, grid_size):
     """Canonical measurement density of a state on the uniform grid.
 
-    P(phi) = |sum_n c_n exp(i n phi)|^2 / (2 pi), evaluated by FFT.  The
-    modulus square cannot go negative, but a maximum with zero is applied so
-    downstream code may rely on it unconditionally.
+    P(phi) = |sum_n c_n exp(i n phi)|^2 / (2 pi), from a real inverse FFT of
+    the amplitudes' autocorrelation, which can round to tiny negatives where
+    P vanishes; a maximum with zero makes the values safe to rely on.  A grid
+    with fewer nodes than amplitudes raises InvalidStateError.
     """
     g = validate_grid_size(grid_size)
-    amp = phase_amplitude_grid(state, g)
-    vals = np.maximum(np.abs(amp) ** 2 / TWO_PI, 0.0)
-    return CircularDensity(vals)
+    return CircularDensity(np.maximum(_canonical_values(state.amplitudes, g), 0.0))
 
 
 def posterior_update(prior, state, outcome):
@@ -218,6 +246,12 @@ def posterior_from_outcomes(state, outcomes, grid_size):
     return CircularDensity(w / total, logs - peak - np.log(total))
 
 
+def _plogp(p):
+    """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300."""
+    logp = np.log(p, out=np.zeros(p.size), where=p > _MASS_FLOOR)
+    return float((p * logp).sum()), logp
+
+
 def entropy(density):
     """Differential entropy in nats, by the periodic midpoint rule.
 
@@ -225,9 +259,7 @@ def entropy(density):
     continuous-limit value of p log p.
     """
     p = density.values
-    mask = p > _MASS_FLOOR
-    terms = np.where(mask, p * np.log(np.where(mask, p, 1.0)), 0.0)
-    return -float(terms.sum()) * TWO_PI / p.size
+    return -_plogp(p)[0] * TWO_PI / p.size
 
 
 def mutual_information_single(state, grid_size=4096):

@@ -148,8 +148,6 @@ def _cmd_optimize(args):
 
 
 def _cmd_sweep(args):
-    if args.n_max < 0:
-        raise PhaseinfoError("--n-max must be nonnegative")
     config = OptimizerConfig(
         max_photon=0,
         grid_size=args.grid,

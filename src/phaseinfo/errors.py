@@ -3,6 +3,7 @@
 __all__ = [
     "PhaseinfoError",
     "InvalidStateError",
+    "InvalidDensityError",
     "ConfigurationError",
     "DegeneratePosteriorError",
     "UndefinedAsymptoteError",
@@ -15,6 +16,10 @@ class PhaseinfoError(Exception):
 
 class InvalidStateError(PhaseinfoError, ValueError):
     """A state vector failed validation (shape, finiteness, or norm)."""
+
+
+class InvalidDensityError(PhaseinfoError, ValueError):
+    """A circular density failed validation (shape, sign, finiteness, or mass)."""
 
 
 class ConfigurationError(PhaseinfoError, ValueError):

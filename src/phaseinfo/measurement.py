@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import grid_angles, validate_grid_size
+from .circular import _require_integer, grid_angles, validate_grid_size
 from .errors import ConfigurationError
 from .states import TWO_PI, _likelihood_rows, phase_amplitude
 
@@ -100,7 +100,7 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     true_phase : float
         True phase in radians (any finite real; reduced mod 2 pi).
     count : int
-        Number of outcomes, at least 1.
+        Number of outcomes, an integer of at least 1.
     seed : int
         Seeds a fresh PCG64 generator; identical arguments give identical
         records.
@@ -111,12 +111,11 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     -------
     MeasurementRecord
     """
-    if count < 1:
-        raise ConfigurationError("count must be at least 1, got %r" % (count,))
+    count = _require_integer(count, "count", 1)
     if not np.isfinite(true_phase):
         raise ConfigurationError("true_phase must be finite, got %r" % (true_phase,))
     rng = np.random.default_rng(seed)
-    outs = _draw_outcomes(state, float(true_phase), int(count), rng, grid_size)
+    outs = _draw_outcomes(state, float(true_phase), count, rng, grid_size)
     return MeasurementRecord(true_phase=float(true_phase), outcomes=outs, seed=int(seed))
 
 

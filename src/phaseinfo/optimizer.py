@@ -4,7 +4,10 @@ The objective J(c) = log(2 pi) - H(P_c) is smooth on the unit sphere of
 amplitude vectors, invariant under the gauge maps c_n -> exp(i(a + n b)) c_n,
 and multimodal for larger cutoffs.  The search is projected gradient ascent:
 
-* Wirtinger gradient of the gridded objective, evaluated with two FFTs;
+* objective from the real-FFT density kernel and p log p sum that
+  ``canonical_density`` and ``entropy`` use;
+* Wirtinger gradient from the accepted probe's log-density: one real FFT of
+  1 + log p, then an (N+1) x (N+1) Toeplitz product with the amplitudes;
 * projection onto the tangent space of the real unit sphere;
 * backtracking line search with an Armijo sufficient-increase test, then a
   parabolic refinement of the accepted step so each iteration lands near
@@ -28,9 +31,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circular import LOG_TWO_PI, validate_grid_size
+from .circular import (
+    _MASS_FLOOR,
+    LOG_TWO_PI,
+    _canonical_values,
+    _plogp,
+    _require_integer,
+    validate_grid_size,
+)
 from .errors import ConfigurationError
-from .states import StateVector, normalize, random_state
+from .states import TWO_PI, StateVector, normalize, random_state
 
 __all__ = [
     "OptimizerConfig",
@@ -43,7 +53,6 @@ __all__ = [
     "bound_sweep",
 ]
 
-_MASS_FLOOR = 1e-300
 _MIN_STEP = 1e-18
 
 # Armijo coefficient: fraction of the first-order gain a step must realize.
@@ -83,21 +92,18 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_photon, (int, np.integer)) or self.max_photon < 0:
-            raise ConfigurationError("max_photon must be a nonnegative integer")
+        _require_integer(self.max_photon, "max_photon", 0)
         g = validate_grid_size(self.grid_size)
         if g < self.max_photon + 1:
             raise ConfigurationError(
                 "grid size %d cannot hold %d amplitudes" % (g, self.max_photon + 1)
             )
-        if self.starts < 1:
-            raise ConfigurationError("starts must be at least 1")
+        _require_integer(self.starts, "starts", 1)
         if not 0.0 < self.step_init < np.inf:
             raise ConfigurationError("step_init must be positive and finite")
         if not 0.0 < self.convergence_tol < np.inf:
             raise ConfigurationError("convergence_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
+        _require_integer(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -125,25 +131,24 @@ class SweepPoint:
     converged: bool
 
 
-def _density_and_amplitude(c, grid_size):
-    padded = np.zeros(grid_size, dtype=np.complex128)
-    padded[: c.size] = c
-    f = np.fft.ifft(padded) * grid_size
-    return np.abs(f) ** 2 / (2.0 * np.pi), f
+def _objective(c, grid_size):
+    """J at a unit vector, with the density and log-density the gradient reuses."""
+    p = _canonical_values(c, grid_size)
+    plogp, logp = _plogp(p)
+    return LOG_TWO_PI + plogp * TWO_PI / grid_size, (p, logp)
 
 
-def _objective_raw(c, grid_size):
-    p, _ = _density_and_amplitude(c, grid_size)
-    mask = p > _MASS_FLOOR
-    terms = np.where(mask, p * np.log(np.where(mask, p, 1.0)), 0.0)
-    return LOG_TWO_PI + float(terms.sum()) * (2.0 * np.pi) / grid_size
-
-
-def _gradient_raw(c, grid_size):
-    # d/d(conj c_n) of the gridded objective: (1/G) sum_k (1 + log P_k) f_k e^{-i n phi_k}.
-    p, f = _density_and_amplitude(c, grid_size)
-    w = np.where(p > _MASS_FLOOR, 1.0 + np.log(np.where(p > _MASS_FLOOR, p, 1.0)), 0.0)
-    return np.fft.fft(w * f)[: c.size] / grid_size
+def _gradient(c, density):
+    # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
+    # with w = 1 + log P, equals sum_j W_{(n-j) mod G} c_j for W = DFT(w) / G.
+    # log P is 0 at masked nodes, so adding the mask gives w = 0 there.
+    p, logp = density
+    g = p.size
+    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")
+    # W at lags 0 .. N; lags past G/2 are conjugates of their mirror images.
+    lags = np.concatenate((w[: c.size], np.conj(w[g - np.arange(w.size, c.size)])))
+    kernel = np.concatenate((np.conj(lags[:0:-1]), lags))
+    return np.convolve(kernel, c)[c.size - 1 : 2 * c.size - 1]
 
 
 def objective_gradient(state, grid_size=4096):
@@ -158,7 +163,8 @@ def objective_gradient(state, grid_size=4096):
         raise ConfigurationError(
             "grid size %d cannot hold %d amplitudes" % (g, state.dim)
         )
-    return _gradient_raw(state.amplitudes, g)
+    c = state.amplitudes
+    return _gradient(c, _objective(c, g)[1])
 
 
 def tangent_project(amplitudes, grad):
@@ -194,11 +200,11 @@ def _ascend(c0, config):
     g = config.grid_size
     c = np.array(c0, dtype=np.complex128)
     c /= np.linalg.norm(c)
-    value = _objective_raw(c, g)
+    value, density = _objective(c, g)
     history = [value]
     step = config.step_init
     for iteration in range(1, config.max_iters + 1):
-        direction = tangent_project(c, _gradient_raw(c, g))
+        direction = tangent_project(c, _gradient(c, density))
         gsq = float(np.real(np.vdot(direction, direction)))
         if gsq == 0.0:
             return c, value, iteration, True, history
@@ -206,14 +212,14 @@ def _ascend(c0, config):
         def probe(s):
             trial = c + s * direction
             trial /= np.linalg.norm(trial)
-            return _objective_raw(trial, g), trial
+            return _objective(trial, g) + (trial,)
 
         # Directional derivative along the direction is 2 * gsq, so the
         # first-order gain of a step s is 2 * s * gsq.
         s = step
         accepted = False
         while s > _MIN_STEP:
-            trial_value, trial = probe(s)
+            trial_value, trial_density, trial = probe(s)
             if trial_value >= value + _SUFFICIENT * 2.0 * s * gsq:
                 accepted = True
                 break
@@ -223,20 +229,21 @@ def _ascend(c0, config):
             return c, value, iteration, True, history
         # Refine: fit a parabola through steps 0, s/2, s and jump to its
         # vertex when that beats both probes.
-        half_value, half = probe(s / 2.0)
+        half_value, half_density, half = probe(s / 2.0)
         concavity = 2.0 * (2.0 * half_value - value - trial_value)
         if concavity > 0.0:
             vertex = (s / 2.0) * (4.0 * half_value - 3.0 * value - trial_value) / concavity
             if 0.0 < vertex < 4.0 * s:
-                vertex_value, refined = probe(vertex)
+                vertex_value, vertex_density, refined = probe(vertex)
                 if vertex_value > trial_value and vertex_value > half_value:
-                    trial_value, trial, s = vertex_value, refined, vertex
+                    trial_value, trial_density, trial = vertex_value, vertex_density, refined
+                    s = vertex
         if half_value > trial_value:
-            trial_value, trial, s = half_value, half, s / 2.0
+            trial_value, trial_density, trial, s = half_value, half_density, half, s / 2.0
         gain = trial_value - value
         if gain <= 0.0:
             return c, value, iteration, True, history
-        c, value = trial, trial_value
+        c, value, density = trial, trial_value, trial_density
         history.append(value)
         step = min(s * 2.0, 1.0)
         if gain < config.convergence_tol:
@@ -290,8 +297,7 @@ def bound_sweep(n_max, config):
     Non-convergence at some cutoff is recorded in that point's flag; the
     sweep itself always completes.
     """
-    if n_max < 0:
-        raise ConfigurationError("n_max must be nonnegative")
+    _require_integer(n_max, "n_max", 0)
     points = []
     for n in range(n_max + 1):
         result = optimize_state(replace(config, max_photon=n))

@@ -75,6 +75,15 @@ def test_monte_carlo_validation(n1_state):
         pi.monte_carlo_information(n1_state, 0, 10)
 
 
+def test_trial_count_must_be_an_integer(n1_state):
+    # 2.5 trials used to run as 2
+    for bad in (2.5, True, 2.0):
+        with pytest.raises(ConfigurationError, match="trials"):
+            pi.monte_carlo_information(n1_state, 2, bad)
+        with pytest.raises(ConfigurationError, match="trials"):
+            pi.bound_report(n1_state, 2, trials=bad)
+
+
 def test_monte_carlo_fock_carries_nothing():
     mean, stderr = pi.monte_carlo_information(pi.fock_state(1, 2), 4, 40, seed=2)
     assert abs(mean) <= 1e-9

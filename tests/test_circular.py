@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import phaseinfo as pi
-from phaseinfo import ConfigurationError, DegeneratePosteriorError
+from phaseinfo import (
+    ConfigurationError,
+    DegeneratePosteriorError,
+    InvalidDensityError,
+    InvalidStateError,
+    PhaseinfoError,
+)
 
 from conftest import independent_density, independent_entropy
 
@@ -72,6 +78,27 @@ def test_canonical_density_matches_independent_evaluation():
         assert np.allclose(d.values, ref, atol=1e-12)
         total = d.values.sum() * 2 * np.pi / 4096
         assert abs(total - 1.0) <= 1e-12
+
+
+def test_density_errors_are_package_errors():
+    with pytest.raises(InvalidDensityError) as info:
+        pi.CircularDensity(np.full(64, np.nan))
+    assert isinstance(info.value, PhaseinfoError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_canonical_density_matches_amplitude_grid():
+    # Cutoffs with 2N + 1 > G exercise the folding of autocorrelation lags
+    # past G/2; without it random_state(32, 39) at G = 64 is off by 1.9e-3
+    # of the peak.
+    for n_max in (0, 1, 8, 31, 32, 40, 63):
+        for g in (64, 4096):
+            for state in (pi.random_state(n_max, 7 + n_max), pi.sine_state(n_max)):
+                ref = np.abs(pi.phase_amplitude_grid(state, g)) ** 2 / (2 * np.pi)
+                d = pi.canonical_density(state, g)
+                assert np.max(np.abs(d.values - ref)) <= 1e-14 * ref.max()
+    with pytest.raises(InvalidStateError):
+        pi.canonical_density(pi.random_state(64, 1), 64)
 
 
 def test_canonical_density_of_fock_is_flat():

@@ -97,6 +97,15 @@ def test_info_errors(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_density_error_exits_2(n1_state, write_state, monkeypatch, capsys):
+    def bad_report(state, grid_size):
+        return pi.CircularDensity(np.full(grid_size, -1.0))
+
+    monkeypatch.setattr("phaseinfo.cli.information_report", bad_report)
+    assert main(["info", "--state", write_state(n1_state)]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 # optimize
 
 

@@ -70,7 +70,8 @@ def test_sampling_range_and_record(n1_state):
 
 
 def test_sampling_count_validation(n1_state):
-    for bad in (0, -5):
+    # floats were truncated and bools taken as counts
+    for bad in (0, -5, 2.5, True):
         with pytest.raises(ConfigurationError):
             pi.sample_outcomes(n1_state, 0.0, bad, 1)
 

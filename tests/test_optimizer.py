@@ -44,6 +44,35 @@ def test_config_validation():
             pi.OptimizerConfig(max_photon=2, convergence_tol=bad)
 
 
+def test_config_refuses_non_integer_counts():
+    # 2.5 used to escape as a TypeError from the seed generator or the
+    # iteration loop, and True passed as the count 1
+    for field in ("starts", "max_iters", "max_photon"):
+        for bad in (2.5, True):
+            with pytest.raises(ConfigurationError, match=field):
+                pi.OptimizerConfig(**{"max_photon": 2, field: bad})
+    with pytest.raises(ConfigurationError, match="n_max"):
+        pi.bound_sweep(2.5, pi.OptimizerConfig(max_photon=0))
+    assert pi.OptimizerConfig(max_photon=np.int64(2), starts=np.int32(3)).starts == 3
+
+
+def _old_gradient(c, g):
+    # The gradient as evaluated by complex FFTs of the amplitude on the grid.
+    f = np.fft.ifft(c, n=g) * g
+    p = np.abs(f) ** 2 / (2 * np.pi)
+    w = np.where(p > 1e-300, 1.0 + np.log(np.where(p > 1e-300, p, 1.0)), 0.0)
+    return np.fft.fft(w * f)[: c.size] / g
+
+
+def test_gradient_matches_complex_fft_formula():
+    for n_max in (1, 8, 32, 63):
+        for g in (64, 4096):
+            state = pi.random_state(n_max, 300 + n_max)
+            ref = _old_gradient(state.amplitudes, g)
+            grad = pi.objective_gradient(state, g)
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_gradient_matches_finite_differences():
     h = 1e-6
     for n_max in (1, 4):
@@ -104,6 +133,37 @@ def test_ascent_is_monotone():
     diffs = np.diff(history)
     assert np.all(diffs > 0.0)
     assert history[-1] == value
+
+
+def test_one_projection_per_iteration(monkeypatch):
+    # The benchmark trace counts optimizer iterations at tangent_project.
+    import phaseinfo.optimizer as opt
+
+    calls = []
+    iters = []
+    project = opt.tangent_project
+    ascend = opt._ascend
+
+    def counting_project(c, grad):
+        calls.append(1)
+        return project(c, grad)
+
+    def recording_ascend(c0, config):
+        run = ascend(c0, config)
+        iters.append(run[2])
+        return run
+
+    monkeypatch.setattr(opt, "tangent_project", counting_project)
+    monkeypatch.setattr(opt, "_ascend", recording_ascend)
+    for config in (
+        pi.OptimizerConfig(max_photon=5, starts=4),
+        pi.OptimizerConfig(max_photon=5, starts=2, max_iters=3),
+    ):
+        calls.clear()
+        iters.clear()
+        pi.optimize_state(config)
+        assert len(iters) == config.starts
+        assert len(calls) == sum(iters) > 0
 
 
 def test_optimize_trivial_cutoff():
