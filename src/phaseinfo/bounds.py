@@ -22,7 +22,7 @@ the entropy of the phase-averaged M-mode state, and at M = 1 it reduces to
 H(p) <= log(N + 1).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,15 +99,17 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     ------
     ConfigurationError
         If ``trials`` is not an integer of at least 2, the fewest that give
-        a stderr.  If ``modes`` exceeds grid_size / 16: posteriors then
-        sharpen beyond what the grid resolves and the entropy quadrature
-        degrades, so the run is refused rather than silently biased.
+        a stderr, or ``seed`` is not an integer >= 0.  If ``modes`` exceeds
+        grid_size / 16: posteriors then sharpen beyond what the grid
+        resolves and the entropy quadrature degrades, so the run is refused
+        rather than silently biased.
     DegeneratePosteriorError
         Propagated from any trial, tagged with the trial index.
     """
     m = _require_integer(modes, "modes", 1)
     g = validate_grid_size(grid_size)
     trials = _require_integer(trials, "trials", 2)
+    seed = _require_integer(seed, "seed", 0)
     if m > g // 16:
         raise ConfigurationError(
             "modes = %d too large for grid %d: posterior width ~ 1/sqrt(M F) "
@@ -181,16 +183,7 @@ class BoundReport:
             )
 
     def to_dict(self):
-        return {
-            "modes": self.modes,
-            "mc_information": self.mc_information,
-            "mc_stderr": self.mc_stderr,
-            "mc_trials": self.mc_trials,
-            "chain_upper_bound": self.chain_upper_bound,
-            "asymptotic_value": self.asymptotic_value,
-            "fisher": self.fisher,
-            "single_info": self.single_info,
-        }
+        return asdict(self)
 
 
 def bound_report(state, modes, trials=500, seed=0, grid_size=4096):

@@ -12,10 +12,14 @@ Conventions used throughout:
 * differential entropy is in nats; the uniform density has entropy log(2 pi);
 * mutual information of a single measurement is log(2 pi) minus the entropy
   of the canonical measurement density.
+
+The table exp(i phi_k) that the first circular moment sums against depends
+only on G; it is built once per grid size and cached read-only.
 """
 
+import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,6 +65,14 @@ _OUTCOME_CHUNK = 16
 def grid_angles(grid_size):
     """The uniform angle grid phi_k = 2 pi k / G, k = 0 .. G-1."""
     return TWO_PI * np.arange(grid_size) / grid_size
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_circle(grid_size):
+    """exp(i phi_k) on the grid, read-only; a few grid sizes stay cached."""
+    z = np.exp(1j * grid_angles(grid_size))
+    z.flags.writeable = False
+    return z
 
 
 def validate_grid_size(grid_size):
@@ -112,28 +124,29 @@ class CircularDensity:
     log_values: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidDensityError("density values must form a non-empty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidDensityError("density values must be finite")
-        if np.any(vals < 0.0):
-            raise InvalidDensityError("density values must be nonnegative")
-        total = float(vals.sum()) * TWO_PI / vals.size
+        total = vals.sum()
+        # Diagnose only on failure; finite values whose sum overflows fail below.
+        if not (np.isfinite(total) and vals.min() >= 0.0):
+            if not np.all(np.isfinite(vals)):
+                raise InvalidDensityError("density values must be finite")
+            if np.any(vals < 0.0):
+                raise InvalidDensityError("density values must be nonnegative")
+        total = float(total) * TWO_PI / vals.size
         if abs(total - 1.0) > 1e-9:
             raise InvalidDensityError(
                 "density integrates to %.17g, expected 1 within 1e-9" % total
             )
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.log_values is not None:
-            logs = np.asarray(self.log_values, dtype=np.float64)
+            logs = np.array(self.log_values, dtype=np.float64)
             if logs.shape != vals.shape:
                 raise InvalidDensityError("log_values shape must match values")
-            if np.any(np.isnan(logs)) or np.any(logs == np.inf):
+            if not logs.max() < np.inf:  # NaN fails the comparison too
                 raise InvalidDensityError("log_values must be free of NaN and +inf")
-            logs = logs.copy()
             logs.flags.writeable = False
             object.__setattr__(self, "log_values", logs)
 
@@ -178,6 +191,13 @@ def canonical_density(state, grid_size):
     return CircularDensity(np.maximum(_canonical_values(state.amplitudes, g), 0.0))
 
 
+def _log_normalized(logs, peak):
+    """Density and log values proportional to exp(logs); ``peak`` is max(logs)."""
+    w = np.exp(logs - peak)
+    total = float(w.sum()) * TWO_PI / w.size
+    return CircularDensity(w / total, logs - peak - np.log(total))
+
+
 def posterior_update(prior, state, outcome):
     """One Bayesian update of a phase density by a canonical outcome.
 
@@ -204,11 +224,7 @@ def posterior_update(prior, state, outcome):
                 "posterior mass vanished at every grid node after outcome "
                 "%.17g" % outcome
             )
-        w = np.exp(logs - peak)
-        total = float(w.sum()) * TWO_PI / w.size
-        vals = w / total
-        logs = logs - peak - np.log(total)
-        return CircularDensity(vals, logs)
+        return _log_normalized(logs, peak)
     v = prior.values * like
     total = float(v.sum()) * TWO_PI / v.size
     if total <= 0.0:
@@ -240,10 +256,7 @@ def posterior_from_outcomes(state, outcomes, grid_size):
                     "posterior mass vanished at every grid node after outcome "
                     "index %d (value %.17g)" % (j, float(outcomes[j]))
                 )
-    peak = float(np.max(logs))
-    w = np.exp(logs - peak)
-    total = float(w.sum()) * TWO_PI / g
-    return CircularDensity(w / total, logs - peak - np.log(total))
+    return _log_normalized(logs, float(np.max(logs)))
 
 
 def _plogp(p):
@@ -317,8 +330,7 @@ def circular_moments(density):
     information of such densities instead of poisoning downstream arithmetic.
     """
     p = density.values
-    g = p.size
-    z1 = complex(np.sum(p * np.exp(1j * grid_angles(g)))) * TWO_PI / g
+    z1 = complex(np.sum(p * _unit_circle(p.size))) * TWO_PI / p.size
     r = min(abs(z1), 1.0)
     direction = float(np.mod(np.angle(z1), TWO_PI)) if r > 0.0 else 0.0
     if direction >= TWO_PI:
@@ -352,14 +364,7 @@ class InformationReport:
     holevo_variance: float
 
     def to_dict(self):
-        return {
-            "entropy": self.entropy,
-            "mutual_information": self.mutual_information,
-            "fisher_information": self.fisher_information,
-            "mean_resultant_length": self.mean_resultant_length,
-            "circular_variance": self.circular_variance,
-            "holevo_variance": self.holevo_variance,
-        }
+        return asdict(self)
 
 
 def information_report(state, grid_size=4096):

@@ -45,7 +45,7 @@ class MeasurementRecord:
 
     ``true_phase`` must be finite and is stored reduced to [0, 2 pi);
     ``outcomes`` is read-only and every entry lies in [0, 2 pi), so NaN is
-    refused.
+    refused; ``seed`` must be an integer >= 0.
     """
 
     true_phase: float
@@ -64,7 +64,7 @@ class MeasurementRecord:
         outs = outs.copy()
         outs.flags.writeable = False
         object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_integer(self.seed, "seed", 0))
 
     @property
     def count(self):
@@ -102,8 +102,8 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     count : int
         Number of outcomes, an integer of at least 1.
     seed : int
-        Seeds a fresh PCG64 generator; identical arguments give identical
-        records.
+        Seeds a fresh PCG64 generator, an integer >= 0; identical arguments
+        give identical records.
     grid_size : int
         Resolution of the inverse-CDF table.
 
@@ -112,11 +112,12 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     MeasurementRecord
     """
     count = _require_integer(count, "count", 1)
+    seed = _require_integer(seed, "seed", 0)
     if not np.isfinite(true_phase):
         raise ConfigurationError("true_phase must be finite, got %r" % (true_phase,))
     rng = np.random.default_rng(seed)
     outs = _draw_outcomes(state, float(true_phase), count, rng, grid_size)
-    return MeasurementRecord(true_phase=float(true_phase), outcomes=outs, seed=int(seed))
+    return MeasurementRecord(true_phase=float(true_phase), outcomes=outs, seed=seed)
 
 
 def record_to_dict(record):

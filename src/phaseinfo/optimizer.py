@@ -80,7 +80,7 @@ class OptimizerConfig:
     max_iters : int
         Iteration cap per start.
     seed : int
-        Seeds the restart states deterministically.
+        Seeds the restart states deterministically; an integer >= 0.
     """
 
     max_photon: int
@@ -104,6 +104,7 @@ class OptimizerConfig:
         if not 0.0 < self.convergence_tol < np.inf:
             raise ConfigurationError("convergence_tol must be positive and finite")
         _require_integer(self.max_iters, "max_iters", 1)
+        _require_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

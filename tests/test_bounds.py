@@ -84,6 +84,17 @@ def test_trial_count_must_be_an_integer(n1_state):
             pi.bound_report(n1_state, 2, trials=bad)
 
 
+def test_seed_must_be_a_nonnegative_integer(n1_state):
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ConfigurationError, match="seed"):
+            pi.monte_carlo_information(n1_state, 2, 4, seed=bad)
+        with pytest.raises(ConfigurationError, match="seed"):
+            pi.bound_report(n1_state, 2, trials=4, seed=bad)
+    assert pi.monte_carlo_information(n1_state, 2, 4, seed=np.int64(3), grid_size=256) == (
+        pi.monte_carlo_information(n1_state, 2, 4, seed=3, grid_size=256)
+    )
+
+
 def test_monte_carlo_fock_carries_nothing():
     mean, stderr = pi.monte_carlo_information(pi.fock_state(1, 2), 4, 40, seed=2)
     assert abs(mean) <= 1e-9

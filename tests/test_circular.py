@@ -8,6 +8,7 @@ from phaseinfo import (
     InvalidDensityError,
     InvalidStateError,
     PhaseinfoError,
+    circular,
 )
 
 from conftest import independent_density, independent_entropy
@@ -69,6 +70,39 @@ def test_density_validation():
     logs[0] = -np.inf
     d = pi.CircularDensity(vals, log_values=logs)
     assert d.grid_size == g
+
+
+def test_density_error_matrix():
+    # Each bad input raises the error and message it raised before the
+    # validation was cut to one sum, one min and one max.
+    g = 64
+    flat = np.full(g, 1.0 / (2 * np.pi))
+    logs = np.full(g, -LN2PI)
+    cases = []
+    for bad, message in (
+        (np.nan, "density values must be finite"),
+        (np.inf, "density values must be finite"),
+        (-np.inf, "density values must be finite"),
+        (-1e-3, "density values must be nonnegative"),
+    ):
+        vals = flat.copy()
+        vals[5] = bad
+        cases.append((vals, None, message))
+    # finite values whose sum overflows
+    cases.append((np.full(g, 1e307), None, "density integrates to inf, expected 1 within 1e-9"))
+    for bad in (np.nan, np.inf):
+        bad_logs = logs.copy()
+        bad_logs[3] = bad
+        cases.append((flat, bad_logs, "log_values must be free of NaN and +inf"))
+    for vals, log_values, message in cases:
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidDensityError) as info:
+                pi.CircularDensity(vals, log_values)
+        assert str(info.value) == message
+    bad_logs = logs.copy()
+    bad_logs[3] = -np.inf
+    assert pi.CircularDensity(flat, bad_logs).log_values[3] == -np.inf
+    assert pi.CircularDensity(flat, np.full(g, -np.inf)).grid_size == g
 
 
 def test_canonical_density_matches_independent_evaluation():
@@ -273,6 +307,52 @@ def test_degenerate_posterior_raises():
     log_prior = pi.CircularDensity(vals, log_values=logs)
     with pytest.raises(DegeneratePosteriorError, match="outcome"):
         pi.posterior_update(log_prior, dead, 0.0)
+
+
+def _direct_first_moment(p):
+    # The first moment with e^{i phi} evaluated afresh on every call.
+    return np.sum(p * np.exp(1j * pi.grid_angles(p.size)))
+
+
+def _direct_log(p):
+    # The masked log taken through the ufunc's where= path.
+    return np.log(p, out=np.zeros(p.size), where=p > 1e-300)
+
+
+def test_moments_and_entropy_match_direct_formulas_bit_for_bit():
+    for g in (64, 4096):
+        outcomes = pi.sample_outcomes(pi.sine_state(8), 1.0, 12, 5, grid_size=g).outcomes
+        posterior = pi.uniform_prior(g)
+        for x in outcomes:
+            posterior = pi.posterior_update(posterior, pi.sine_state(8), x)
+        densities = [
+            pi.uniform_prior(g),
+            pi.canonical_density(pi.random_state(8, 3), g),
+            pi.canonical_density(pi.random_state(32, 4), g),
+            pi.canonical_density(pi.sine_state(16), g),
+            pi.canonical_density(pi.fock_state(1, 3), g),
+            posterior,
+            pi.posterior_from_outcomes(pi.sine_state(8), outcomes, g),
+        ]
+        for d in densities:
+            p = d.values
+            z1 = complex(_direct_first_moment(p)) * (2 * np.pi) / g
+            r = min(abs(z1), 1.0)
+            m = pi.circular_moments(d)
+            assert m.mean_resultant_length == r
+            direction = float(np.mod(np.angle(z1), 2 * np.pi)) if r > 0.0 else 0.0
+            assert m.mean_direction == (0.0 if direction >= 2 * np.pi else direction)
+            h = -float((p * _direct_log(p)).sum()) * (2 * np.pi) / g
+            assert pi.entropy(d) == h
+            assert circular._plogp(p)[1].tobytes() == _direct_log(p).tobytes()
+
+
+def test_unit_circle_table_is_cached_and_read_only():
+    z = circular._unit_circle(256)
+    assert circular._unit_circle(256) is z
+    assert z.tobytes() == np.exp(1j * pi.grid_angles(256)).tobytes()
+    with pytest.raises(ValueError):
+        z[0] = 0.0
 
 
 def test_circular_moments_uniform():

@@ -313,6 +313,21 @@ def test_bounds_errors(n1_state, write_state, capsys):
     assert main(["bounds", "--state", path, "--modes", "2", "--trials", "1"]) == 2
 
 
+def test_negative_seed_exits_2(n1_state, write_state, capsys):
+    # -1 used to escape from SeedSequence as an uncaught ValueError
+    path = write_state(n1_state)
+    for args in (
+        ["optimize", "--max-photon", "2"],
+        ["sweep", "--n-max", "2"],
+        ["simulate", "--state", path, "--true-phase", "0.5", "--shots", "3"],
+        ["bounds", "--state", path, "--modes", "1", "--trials", "5"],
+    ):
+        assert main(args + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0")
+        assert "Traceback" not in err
+
+
 # global behavior
 
 

@@ -76,6 +76,19 @@ def test_sampling_count_validation(n1_state):
             pi.sample_outcomes(n1_state, 0.0, bad, 1)
 
 
+def test_seed_validation(n1_state):
+    # -1 escaped as a ValueError and 2.5 as a TypeError; the record
+    # truncated 2.5 to 2
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ConfigurationError, match="seed"):
+            pi.sample_outcomes(n1_state, 0.0, 3, bad)
+        with pytest.raises(ConfigurationError, match="seed"):
+            pi.MeasurementRecord(true_phase=0.0, outcomes=[1.0], seed=bad)
+    rec = pi.sample_outcomes(n1_state, 0.0, 3, np.int64(7))
+    assert rec.seed == 7 and type(rec.seed) is int
+    assert rec.outcomes.tobytes() == pi.sample_outcomes(n1_state, 0.0, 3, 7).outcomes.tobytes()
+
+
 def test_sampling_rejects_non_finite_true_phase(n1_state):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ConfigurationError, match="true_phase"):

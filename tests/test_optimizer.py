@@ -56,6 +56,14 @@ def test_config_refuses_non_integer_counts():
     assert pi.OptimizerConfig(max_photon=np.int64(2), starts=np.int32(3)).starts == 3
 
 
+def test_config_refuses_bad_seeds():
+    # -1 was accepted here and failed only inside optimize_state
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ConfigurationError, match="seed"):
+            pi.OptimizerConfig(max_photon=2, seed=bad)
+    assert pi.OptimizerConfig(max_photon=2, seed=np.uint32(5)).seed == 5
+
+
 def _old_gradient(c, g):
     # The gradient as evaluated by complex FFTs of the amplitude on the grid.
     f = np.fft.ifft(c, n=g) * g
