@@ -28,7 +28,6 @@ import numpy as np
 
 from .circular import (
     LOG_TWO_PI,
-    _require_integer,
     entropy,
     fisher_information,
     mutual_information_single,
@@ -41,7 +40,7 @@ from .errors import (
     UndefinedAsymptoteError,
 )
 from .measurement import _draw_outcomes
-from .states import TWO_PI
+from .states import TWO_PI, _require_integer
 
 __all__ = [
     "chain_upper_bound",
@@ -189,11 +188,12 @@ class BoundReport:
 def bound_report(state, modes, trials=500, seed=0, grid_size=4096):
     """Evaluate every bound for one (state, M) pair; deterministic per seed."""
     m = _require_integer(modes, "modes", 1)
-    single = mutual_information_single(state, grid_size)
-    fisher = fisher_information(state, grid_size)
+    # First, so bad trials, seed or modes are refused before any grid work.
     mc_mean, mc_stderr = monte_carlo_information(
         state, m, trials, seed=seed, grid_size=grid_size
     )
+    single = mutual_information_single(state, grid_size)
+    fisher = fisher_information(state, grid_size)
     asym = asymptotic_information(fisher, m) if fisher > 1e-12 else None
     return BoundReport(
         modes=m,

@@ -15,10 +15,16 @@ Conventions used throughout:
 
 The table exp(i phi_k) that the first circular moment sums against depends
 only on G; it is built once per grid size and cached read-only.
+
+The canonical density of an N-photon state has only 2N + 1 Fourier
+coefficients, so it is evaluated by polyphase decomposition: node
+k = q + Q l splits into Q interleaved subgrids of L = G / Q nodes, each one
+real inverse FFT of length L of the lags twiddled by exp(i m phi_q).  The
+Q transforms run as one batch, and the twiddle table depends only on
+(G, L), so it is built once and cached read-only like the unit circle.
 """
 
 import functools
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,13 +99,6 @@ def validate_grid_size(grid_size):
     return g
 
 
-def _require_integer(value, name, minimum):
-    """``value`` as int if it is a non-bool integer >= ``minimum``; floats are refused."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, minimum, value))
-    return int(value)
-
-
 @dataclass(frozen=True)
 class CircularDensity:
     """Nonnegative density on the uniform circular grid, integrating to 1.
@@ -163,32 +162,54 @@ def uniform_prior(grid_size):
     return CircularDensity(vals, logs)
 
 
+@functools.lru_cache(maxsize=4)
+def _twiddles(grid_size, sub_length):
+    """exp(i m phi_q) for q < G / L and m <= L / 2, read-only, shape (Q, L/2 + 1)."""
+    q = np.arange(grid_size // sub_length)[:, None]
+    m = np.arange(sub_length // 2 + 1)
+    tw = np.exp(1j * (TWO_PI * (q * m % grid_size) / grid_size))
+    tw.flags.writeable = False
+    return tw
+
+
 def _canonical_values(amplitudes, grid_size):
-    """|f(phi_k)|^2 / (2 pi) on the grid: one real inverse FFT of the lags
-    r_m = sum_n c_{n+m} conj(c_n), m = -N .. N.  Lags m >= G/2 alias onto the
-    Hermitian half spectrum at G - m as conj(r_m).  May round below zero.
+    """|f(phi_k)|^2 / (2 pi) on the grid, in the polyphase layout (Q, L).
+
+    Entry [q, l] is node k = q + Q l.  The subgrid length L is the smallest
+    power of two >= 2 (N + 1) and >= 256, capped at G, and Q = G / L.  From
+    the lags r_m = sum_n c_{n+m} conj(c_n), m = -N .. N, row q is the real
+    inverse FFT of length L of r_m exp(i m phi_q), all Q rows in one batch.
+    Lags m >= L/2 occur only when L = G (Q = 1, no twiddle) and alias onto
+    the Hermitian half spectrum at G - m as conj(r_m).  May round below zero.
     """
     n = amplitudes.size
     if grid_size < n:
         raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, n))
+    sub = min(grid_size, max(256, 1 << (2 * n - 1).bit_length()))
     lags = np.correlate(amplitudes, amplitudes, "full")[n - 1 :] / TWO_PI
-    half = np.zeros(grid_size // 2 + 1, dtype=np.complex128)
-    half[: min(n, half.size)] = lags[: half.size]
-    folded = np.arange(grid_size // 2, n)
-    half[grid_size - folded] += np.conj(lags[folded])
-    return np.fft.irfft(half, n=grid_size, norm="forward")
+    tw = _twiddles(grid_size, sub)
+    half = np.zeros(tw.shape, dtype=np.complex128)
+    kept = min(n, sub // 2 + 1)
+    np.multiply(tw[:, :kept], lags[:kept], out=half[:, :kept])
+    if n > sub // 2:
+        folded = np.arange(sub // 2, n)
+        half[0, sub - folded] += np.conj(lags[folded])
+    return np.fft.irfft(half, n=sub, norm="forward")
 
 
 def canonical_density(state, grid_size):
     """Canonical measurement density of a state on the uniform grid.
 
-    P(phi) = |sum_n c_n exp(i n phi)|^2 / (2 pi), from a real inverse FFT of
-    the amplitudes' autocorrelation, which can round to tiny negatives where
-    P vanishes; a maximum with zero makes the values safe to rely on.  A grid
-    with fewer nodes than amplitudes raises InvalidStateError.
+    P(phi) = |sum_n c_n exp(i n phi)|^2 / (2 pi), from the batched real
+    inverse FFTs of the amplitudes' autocorrelation in ``_canonical_values``,
+    reordered from its polyphase layout to node order.  These can round to
+    tiny negatives where P vanishes; a maximum with zero makes the values
+    safe to rely on.  A grid with fewer nodes than amplitudes raises
+    InvalidStateError.
     """
     g = validate_grid_size(grid_size)
-    return CircularDensity(np.maximum(_canonical_values(state.amplitudes, g), 0.0))
+    values = _canonical_values(state.amplitudes, g).T.ravel()
+    return CircularDensity(np.maximum(values, 0.0))
 
 
 def _log_normalized(logs, peak):
@@ -260,8 +281,11 @@ def posterior_from_outcomes(state, outcomes, grid_size):
 
 
 def _plogp(p):
-    """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300."""
-    logp = np.log(p, out=np.zeros(p.size), where=p > _MASS_FLOOR)
+    """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300.
+
+    ``p`` may be a node-ordered density or the (Q, L) polyphase layout.
+    """
+    logp = np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
     return float((p * logp).sum()), logp
 
 

@@ -4,10 +4,14 @@ The objective J(c) = log(2 pi) - H(P_c) is smooth on the unit sphere of
 amplitude vectors, invariant under the gauge maps c_n -> exp(i(a + n b)) c_n,
 and multimodal for larger cutoffs.  The search is projected gradient ascent:
 
-* objective from the real-FFT density kernel and p log p sum that
-  ``canonical_density`` and ``entropy`` use;
-* Wirtinger gradient from the accepted probe's log-density: one real FFT of
-  1 + log p, then an (N+1) x (N+1) Toeplitz product with the amplitudes;
+* objective from the density kernel and p log p sum that
+  ``canonical_density`` and ``entropy`` use: at G = 4096 one batch of
+  G / L real inverse FFTs of length L = 256 (L = 512 above N = 127), with
+  p and log p kept in that (G / L, L) polyphase layout;
+* Wirtinger gradient from the accepted probe's log-density: one batched
+  real FFT of 1 + log p along the length-L axis of the same layout, a sum
+  of its G / L rows against the conjugate twiddles for lags 0 .. N, then an
+  (N+1) x (N+1) Toeplitz product with the amplitudes;
 * projection onto the tangent space of the real unit sphere;
 * backtracking line search with an Armijo sufficient-increase test, then a
   parabolic refinement of the accepted step so each iteration lands near
@@ -36,11 +40,11 @@ from .circular import (
     LOG_TWO_PI,
     _canonical_values,
     _plogp,
-    _require_integer,
+    _twiddles,
     validate_grid_size,
 )
 from .errors import ConfigurationError
-from .states import TWO_PI, StateVector, normalize, random_state
+from .states import TWO_PI, StateVector, _require_integer, normalize, random_state
 
 __all__ = [
     "OptimizerConfig",
@@ -133,7 +137,10 @@ class SweepPoint:
 
 
 def _objective(c, grid_size):
-    """J at a unit vector, with the density and log-density the gradient reuses."""
+    """J at a unit vector, with the density and log-density the gradient reuses.
+
+    Both stay in the kernel's (Q, L) polyphase layout; no probe reorders them.
+    """
     p = _canonical_values(c, grid_size)
     plogp, logp = _plogp(p)
     return LOG_TWO_PI + plogp * TWO_PI / grid_size, (p, logp)
@@ -143,12 +150,15 @@ def _gradient(c, density):
     # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
     # with w = 1 + log P, equals sum_j W_{(n-j) mod G} c_j for W = DFT(w) / G.
     # log P is 0 at masked nodes, so adding the mask gives w = 0 there.
+    # In the (Q, L) layout W_m = (1/Q) sum_q e^{-i m phi_q} DFT_L(w[q])_m / L.
     p, logp = density
-    g = p.size
-    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")
-    # W at lags 0 .. N; lags past G/2 are conjugates of their mirror images.
-    lags = np.concatenate((w[: c.size], np.conj(w[g - np.arange(w.size, c.size)])))
-    kernel = np.concatenate((np.conj(lags[:0:-1]), lags))
+    q, sub = p.shape
+    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")[:, : c.size]
+    w = np.einsum("qm,qm->m", w, _twiddles(q * sub, sub)[:, : c.size].conj()) / q
+    if c.size > w.size:
+        # Lags past G/2 (only with Q = 1) are conjugates of their mirror images.
+        w = np.concatenate((w, np.conj(w[sub - np.arange(w.size, c.size)])))
+    kernel = np.concatenate((np.conj(w[:0:-1]), w))
     return np.convolve(kernel, c)[c.size - 1 : 2 * c.size - 1]
 
 

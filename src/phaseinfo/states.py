@@ -7,11 +7,12 @@ consumes these vectors, so validation lives here: finite entries, at least
 one component, norm within ``NORM_TOL`` of one.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import ConfigurationError, InvalidStateError
 
 __all__ = [
     "TWO_PI",
@@ -34,6 +35,13 @@ TWO_PI = 2.0 * np.pi
 
 # Acceptable deviation of |c| from 1 before a vector is rejected.
 NORM_TOL = 1e-12
+
+
+def _require_integer(value, name, minimum):
+    """``value`` as int if it is a non-bool integer >= ``minimum``; floats are refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,15 @@ def random_state(max_photon, seed):
     """Haar-like random state: i.i.d. complex standard normal, normalized.
 
     Deterministic: the same ``(max_photon, seed)`` pair always returns the
-    identical vector.  Used to seed optimizer multi-starts.
+    identical vector.  Used to seed optimizer multi-starts.  A ``max_photon``
+    that is not a non-bool integer raises InvalidStateError, a seed that is
+    not an integer >= 0 ConfigurationError.
     """
+    if not isinstance(max_photon, numbers.Integral) or isinstance(max_photon, bool):
+        raise InvalidStateError("max_photon must be an integer, got %r" % (max_photon,))
     if max_photon < 0:
         raise InvalidStateError("max_photon must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_integer(seed, "seed", 0))
     re = rng.standard_normal(max_photon + 1)
     im = rng.standard_normal(max_photon + 1)
     return normalize(re + 1j * im)

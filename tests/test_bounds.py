@@ -95,6 +95,19 @@ def test_seed_must_be_a_nonnegative_integer(n1_state):
     )
 
 
+def test_bound_report_refuses_bad_input_before_grid_work(n1_state, monkeypatch):
+    def grid_work(*args, **kwargs):
+        raise AssertionError("grid work done before the input was checked")
+
+    monkeypatch.setattr("phaseinfo.bounds.mutual_information_single", grid_work)
+    monkeypatch.setattr("phaseinfo.bounds.fisher_information", grid_work)
+    g = 256
+    for kwargs in ({"trials": 1}, {"seed": -1}, {"modes": g // 16 + 1}):
+        args = {"modes": 2, "trials": 4, "seed": 0, "grid_size": g, **kwargs}
+        with pytest.raises(ConfigurationError):
+            pi.bound_report(n1_state, **args)
+
+
 def test_monte_carlo_fock_carries_nothing():
     mean, stderr = pi.monte_carlo_information(pi.fock_state(1, 2), 4, 40, seed=2)
     assert abs(mean) <= 1e-9

@@ -124,15 +124,25 @@ def test_density_errors_are_package_errors():
 def test_canonical_density_matches_amplitude_grid():
     # Cutoffs with 2N + 1 > G exercise the folding of autocorrelation lags
     # past G/2; without it random_state(32, 39) at G = 64 is off by 1.9e-3
-    # of the peak.
-    for n_max in (0, 1, 8, 31, 32, 40, 63):
-        for g in (64, 4096):
+    # of the peak.  N = 127 and 128 straddle the switch of the polyphase
+    # subgrid from L = 256 to L = 512; N = 200 at G = 256 and 512 is the
+    # fold on a single row (L = G).
+    for n_max in (0, 1, 8, 31, 32, 40, 63, 127, 128, 200):
+        for g in (64, 256, 512, 4096):
+            if n_max >= g:
+                continue
             for state in (pi.random_state(n_max, 7 + n_max), pi.sine_state(n_max)):
                 ref = np.abs(pi.phase_amplitude_grid(state, g)) ** 2 / (2 * np.pi)
                 d = pi.canonical_density(state, g)
                 assert np.max(np.abs(d.values - ref)) <= 1e-14 * ref.max()
     with pytest.raises(InvalidStateError):
         pi.canonical_density(pi.random_state(64, 1), 64)
+    # The twiddle table is shared by every caller, so it must stay read-only.
+    tw = circular._twiddles(4096, 256)
+    assert circular._twiddles(4096, 256) is tw
+    assert tw.shape == (16, 129)
+    with pytest.raises(ValueError):
+        tw[0, 0] = 0.0
 
 
 def test_canonical_density_of_fock_is_flat():

@@ -73,8 +73,12 @@ def _old_gradient(c, g):
 
 
 def test_gradient_matches_complex_fft_formula():
-    for n_max in (1, 8, 32, 63):
-        for g in (64, 4096):
+    # N = 127 / 128 switch the polyphase subgrid from L = 256 to L = 512;
+    # N = 200 at G = 256 and 512 takes the mirror of lags past G/2 (L = G).
+    for n_max in (1, 8, 32, 63, 127, 128, 200):
+        for g in (64, 256, 512, 4096):
+            if n_max >= g:
+                continue
             state = pi.random_state(n_max, 300 + n_max)
             ref = _old_gradient(state.amplitudes, g)
             grad = pi.objective_gradient(state, g)
@@ -172,6 +176,26 @@ def test_one_projection_per_iteration(monkeypatch):
         pi.optimize_state(config)
         assert len(iters) == config.starts
         assert len(calls) == sum(iters) > 0
+
+
+def test_no_full_grid_transform_in_the_search(monkeypatch):
+    # At G = 4096 the density probes and the gradient run batched
+    # transforms of length 256, never one transform of length 4096.
+    lengths = []
+    irfft, rfft = np.fft.irfft, np.fft.rfft
+
+    def recording_irfft(a, n=None, axis=-1, **kwargs):
+        lengths.append(n if n is not None else 2 * (np.shape(a)[axis] - 1))
+        return irfft(a, n=n, axis=axis, **kwargs)
+
+    def recording_rfft(a, n=None, axis=-1, **kwargs):
+        lengths.append(n if n is not None else np.shape(a)[axis])
+        return rfft(a, n=n, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    pi.optimize_state(pi.OptimizerConfig(max_photon=8, starts=2))
+    assert lengths and set(lengths) == {256}
 
 
 def test_optimize_trivial_cutoff():

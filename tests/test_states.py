@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phaseinfo as pi
-from phaseinfo import InvalidStateError
+from phaseinfo import ConfigurationError, InvalidStateError
 from phaseinfo.states import _likelihood_rows
 
 
@@ -67,6 +67,21 @@ def test_random_state_norm_over_many_seeds():
     for seed in range(100):
         s = pi.random_state(6, seed)
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
+
+
+def test_random_state_validates_its_arguments():
+    # The seeds -1 and 2.5 escaped as numpy's ValueError and TypeError, the
+    # cutoff 2.5 as TypeError, and the cutoff True passed as 1.
+    for bad in (-1, 2.5, True, None):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            pi.random_state(3, bad)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidStateError, match="max_photon must be an integer"):
+            pi.random_state(bad, 0)
+    with pytest.raises(InvalidStateError, match="max_photon must be nonnegative"):
+        pi.random_state(-1, 0)
+    same = pi.random_state(np.int64(3), np.uint64(5))
+    assert same.amplitudes.tobytes() == pi.random_state(3, 5).amplitudes.tobytes()
 
 
 def test_gauge_transform_preserves_norm_and_shifts_density():
