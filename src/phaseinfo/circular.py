@@ -212,64 +212,19 @@ def canonical_density(state, grid_size):
     return CircularDensity(np.maximum(values, 0.0))
 
 
-def _log_normalized(logs, peak):
-    """Density and log values proportional to exp(logs); ``peak`` is max(logs)."""
-    w = np.exp(logs - peak)
-    total = float(w.sum()) * TWO_PI / w.size
-    return CircularDensity(w / total, logs - peak - np.log(total))
+def _log_posterior(logs, state, outcomes):
+    """Posterior from log prior values ``logs`` (updated in place) and outcomes.
 
-
-def posterior_update(prior, state, outcome):
-    """One Bayesian update of a phase density by a canonical outcome.
-
-    The likelihood of outcome x given phase theta is the canonical density
-    of ``state`` at x - theta, taken on the grid from the FFT kernel of
-    :func:`posterior_from_outcomes` as a chunk of one outcome.  When the
-    prior carries log values the update runs in log space (stable over long
-    outcome chains); otherwise it multiplies densities directly.
-
-    Raises
-    ------
-    DegeneratePosteriorError
-        If the updated density has zero mass at every node.  The message
-        names the outcome that caused it.
+    The likelihoods come from the FFT kernel, one batched transform per chunk
+    of ``_OUTCOME_CHUNK`` outcomes; their logs are added in outcome order and
+    the sum is normalized once, so hundreds of sharp updates cannot
+    underflow.  Raises DegeneratePosteriorError at the first outcome that
+    leaves no mass at any node.
     """
-    outcome = float(outcome)
-    like = _likelihood_rows(state, [outcome], prior.grid_size)[0]
-    if prior.log_values is not None:
-        with np.errstate(divide="ignore"):
-            logs = prior.log_values + np.log(like)
-        peak = float(np.max(logs))
-        if not np.isfinite(peak):
-            raise DegeneratePosteriorError(
-                "posterior mass vanished at every grid node after outcome "
-                "%.17g" % outcome
-            )
-        return _log_normalized(logs, peak)
-    v = prior.values * like
-    total = float(v.sum()) * TWO_PI / v.size
-    if total <= 0.0:
-        raise DegeneratePosteriorError(
-            "posterior mass vanished at every grid node after outcome %.17g"
-            % outcome
-        )
-    return CircularDensity(v / total)
-
-
-def posterior_from_outcomes(state, outcomes, grid_size):
-    """Posterior after a whole outcome sequence, from a uniform prior.
-
-    The likelihoods come from the FFT, one batched transform per chunk of
-    ``_OUTCOME_CHUNK`` outcomes; their logs are summed in outcome order and
-    normalized once, so hundreds of sharp updates cannot underflow.
-    """
-    g = validate_grid_size(grid_size)
-    outcomes = np.ravel(np.asarray(outcomes, dtype=np.float64))
-    logs = np.full(g, -LOG_TWO_PI)
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
-        like = _likelihood_rows(state, outcomes[start : start + _OUTCOME_CHUNK], g)
+        chunk = outcomes[start : start + _OUTCOME_CHUNK]
         with np.errstate(divide="ignore"):
-            loglikes = np.log(like)
+            loglikes = np.log(_likelihood_rows(state.amplitudes, chunk, logs.size))
         for j, loglike in enumerate(loglikes, start):
             logs += loglike
             if not np.isfinite(np.max(logs)):
@@ -277,7 +232,41 @@ def posterior_from_outcomes(state, outcomes, grid_size):
                     "posterior mass vanished at every grid node after outcome "
                     "index %d (value %.17g)" % (j, float(outcomes[j]))
                 )
-    return _log_normalized(logs, float(np.max(logs)))
+    logs -= np.max(logs)
+    w = np.exp(logs)
+    total = float(w.sum()) * TWO_PI / w.size
+    return CircularDensity(w / total, logs - np.log(total))
+
+
+def posterior_update(prior, state, outcome):
+    """One Bayesian update of a phase density by a canonical outcome.
+
+    The likelihood of outcome x given phase theta is the canonical density
+    of ``state`` at x - theta, and the update is the log-space accumulation
+    of :func:`posterior_from_outcomes` over one outcome.  A prior without
+    log values enters through the log of its values.
+
+    Raises
+    ------
+    DegeneratePosteriorError
+        If the updated density has zero mass at every node.  The message
+        names the outcome that caused it.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(prior.values) if prior.log_values is None else prior.log_values.copy()
+    return _log_posterior(logs, state, np.array([float(outcome)]))
+
+
+def posterior_from_outcomes(state, outcomes, grid_size):
+    """Posterior after a whole outcome sequence, from a uniform prior.
+
+    The log-likelihoods of the outcomes are summed in outcome order and
+    normalized once, so hundreds of sharp updates cannot underflow; an
+    empty sequence gives the uniform prior.
+    """
+    g = validate_grid_size(grid_size)
+    outcomes = np.ravel(np.asarray(outcomes, dtype=np.float64))
+    return _log_posterior(np.full(g, -LOG_TWO_PI), state, outcomes)
 
 
 def _plogp(p):
@@ -320,10 +309,6 @@ def fisher_information(state, grid_size=4096):
     quadrature spectrally accurate through the zeros.
     """
     g = validate_grid_size(grid_size)
-    if g < state.dim:
-        raise ConfigurationError(
-            "grid of %d nodes cannot resolve %d amplitudes" % (g, state.dim)
-        )
     fvals = phase_amplitude_grid(state, g)
     n = np.arange(state.dim)
     fprime = np.fft.ifft(1j * n * state.amplitudes, n=g, norm="forward")

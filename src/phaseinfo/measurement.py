@@ -75,12 +75,13 @@ def _draw_outcomes(state, true_phase, count, rng, grid_size):
     """Inverse-CDF draws from the gridded outcome density, given an RNG.
 
     The density table comes from the FFT kernel that the posterior applies
-    in fixed-size outcome chunks, here as one inverse-FFT row at
-    ``true_phase``.  The RNG supplies exactly ``count`` uniforms.
+    in fixed-size outcome chunks, here as one row at ``true_phase`` of the
+    conjugated amplitudes, which gives |f(phi_k - true_phase)|^2 / (2 pi).
+    The RNG supplies exactly ``count`` uniforms.
     """
     g = validate_grid_size(grid_size)
     nodes = grid_angles(g)
-    density = _likelihood_rows(state, [true_phase], g, forward=False)[0]
+    density = _likelihood_rows(np.conj(state.amplitudes), [true_phase], g)[0]
     cdf = np.concatenate(([0.0], np.cumsum(density) * TWO_PI / g))
     cdf /= cdf[-1]
     u = rng.random(count)

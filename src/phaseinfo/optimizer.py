@@ -170,10 +170,6 @@ def objective_gradient(state, grid_size=4096):
     2 Re <grad, u> after projecting onto the sphere's tangent space.
     """
     g = validate_grid_size(grid_size)
-    if g < state.dim:
-        raise ConfigurationError(
-            "grid size %d cannot hold %d amplitudes" % (g, state.dim)
-        )
     c = state.amplitudes
     return _gradient(c, _objective(c, g)[1])
 

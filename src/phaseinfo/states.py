@@ -44,6 +44,15 @@ def _require_integer(value, name, minimum):
     return int(value)
 
 
+def _require_count(value, name):
+    """``value`` as int if it is a non-bool integer >= 0, else InvalidStateError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidStateError("%s must be an integer, got %r" % (name, value))
+    if value < 0:
+        raise InvalidStateError("%s must be nonnegative" % name)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm amplitude vector in the truncated number basis.
@@ -121,9 +130,8 @@ def normalize(amplitudes):
 
 def fock_state(n, max_photon):
     """Number eigenstate |n> inside a cutoff-``max_photon`` space."""
-    if max_photon < 0:
-        raise InvalidStateError("max_photon must be nonnegative")
-    if not 0 <= n <= max_photon:
+    max_photon = _require_count(max_photon, "max_photon")
+    if _require_count(n, "photon number") > max_photon:
         raise InvalidStateError(
             "photon number %d outside [0, %d]" % (n, max_photon)
         )
@@ -138,8 +146,7 @@ def sine_state(max_photon):
     This is the classic high-information benchmark for phase estimation at
     fixed photon cutoff; the optimizer must never fall below it.
     """
-    if max_photon < 0:
-        raise InvalidStateError("max_photon must be nonnegative")
+    max_photon = _require_count(max_photon, "max_photon")
     n = np.arange(max_photon + 1)
     amps = np.sqrt(2.0 / (max_photon + 2)) * np.sin(
         np.pi * (n + 1) / (max_photon + 2)
@@ -155,10 +162,7 @@ def random_state(max_photon, seed):
     that is not a non-bool integer raises InvalidStateError, a seed that is
     not an integer >= 0 ConfigurationError.
     """
-    if not isinstance(max_photon, numbers.Integral) or isinstance(max_photon, bool):
-        raise InvalidStateError("max_photon must be an integer, got %r" % (max_photon,))
-    if max_photon < 0:
-        raise InvalidStateError("max_photon must be nonnegative")
+    max_photon = _require_count(max_photon, "max_photon")
     rng = np.random.default_rng(_require_integer(seed, "seed", 0))
     re = rng.standard_normal(max_photon + 1)
     im = rng.standard_normal(max_photon + 1)
@@ -211,26 +215,23 @@ def phase_amplitude_grid(state, grid_size):
     return np.fft.ifft(state.amplitudes, n=grid_size, norm="forward")
 
 
-def _likelihood_rows(state, offsets, grid_size, forward=True):
+def _likelihood_rows(amplitudes, offsets, grid_size):
     """Canonical likelihood on the grid phi_k = 2 pi k / G, one row per offset.
 
-    With ``forward`` row j is |f(x_j - phi_k)|^2 / (2 pi), the posterior's
-    view of outcome x_j, and equals the length-G DFT of c_n e^{i n x_j}.
-    Otherwise it is |f(phi_k - x_j)|^2 / (2 pi), the sampler's table at true
-    phase x_j, from the unscaled inverse DFT of c_n e^{-i n x_j}.  Offsets
-    are reduced mod 2 pi first; the result has shape (len(offsets), G).
+    Row j is |f(x_j - phi_k)|^2 / (2 pi) with f(phi) = sum_n c_n e^{i n phi},
+    the length-G DFT of c_n e^{i n x_j}: the posterior's view of outcome
+    x_j.  The sampler passes the conjugated amplitudes, which turns row j
+    into |f(phi_k - x_j)|^2 / (2 pi), its outcome table at true phase x_j.
+    Offsets are reduced mod 2 pi first; the result has shape
+    (len(offsets), G).
     """
-    if grid_size < state.dim:
+    if grid_size < amplitudes.size:
         raise InvalidStateError(
-            "grid of %d nodes cannot hold %d amplitudes" % (grid_size, state.dim)
+            "grid of %d nodes cannot hold %d amplitudes" % (grid_size, amplitudes.size)
         )
     x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
-    phase = np.multiply.outer(x, np.arange(state.dim))
-    if forward:
-        amp = np.fft.fft(state.amplitudes * np.exp(1j * phase), n=grid_size)
-    else:
-        amp = np.fft.ifft(state.amplitudes * np.exp(-1j * phase), n=grid_size, norm="forward")
-    return np.abs(amp) ** 2 / TWO_PI
+    phase = np.multiply.outer(x, np.arange(amplitudes.size))
+    return np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size)) ** 2 / TWO_PI
 
 
 def state_to_dict(state):

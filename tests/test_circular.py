@@ -260,7 +260,7 @@ def test_posterior_log_and_linear_paths_agree(n1_state):
     a = pi.posterior_update(linear_prior, n1_state, 0.8)
     b = pi.posterior_update(log_prior, n1_state, 0.8)
     assert np.allclose(a.values, b.values, atol=1e-12)
-    assert a.log_values is None
+    assert a.log_values is not None
     assert b.log_values is not None
 
 
@@ -275,6 +275,10 @@ def test_posterior_outcome_order_irrelevant(n1_state):
     for x in outcomes:
         chained = pi.posterior_update(chained, n1_state, x)
     assert np.max(np.abs(base.values - chained.values)) <= 1e-9
+    # and no outcomes at all leave the uniform prior
+    empty = pi.posterior_from_outcomes(n1_state, [], g)
+    assert np.array_equal(empty.values, pi.uniform_prior(g).values)
+    assert np.array_equal(empty.log_values, pi.uniform_prior(g).log_values)
 
 
 def test_posterior_across_outcome_chunks():

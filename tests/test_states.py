@@ -80,6 +80,19 @@ def test_random_state_validates_its_arguments():
             pi.random_state(bad, 0)
     with pytest.raises(InvalidStateError, match="max_photon must be nonnegative"):
         pi.random_state(-1, 0)
+    # The same cutoff check guards sine_state and fock_state, where 2.5 gave a
+    # 4-amplitude state, True the N = 1 state, and fock_state's counts
+    # escaped as TypeError, IndexError or a misleading norm error.
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidStateError, match="max_photon must be an integer"):
+            pi.sine_state(bad)
+        with pytest.raises(InvalidStateError, match="max_photon must be an integer"):
+            pi.fock_state(1, bad)
+    for bad in (0.5, True, "1"):
+        with pytest.raises(InvalidStateError, match="photon number must be an integer"):
+            pi.fock_state(bad, 2)
+    with pytest.raises(InvalidStateError, match="max_photon must be nonnegative"):
+        pi.sine_state(-1)
     same = pi.random_state(np.int64(3), np.uint64(5))
     assert same.amplitudes.tobytes() == pi.random_state(3, 5).amplitudes.tobytes()
 
@@ -109,13 +122,16 @@ def test_phase_amplitude_grid_matches_direct_evaluation():
 @pytest.mark.parametrize("max_photon", [0, 1, 8, 32])
 def test_likelihood_rows_match_dense_density(max_photon, grid_size):
     # The FFT kernel against the pointwise sum at random off-grid offsets, in
-    # both orientations: the posterior's f(x - phi_k) and the sampler's
-    # f(phi_k - t).
+    # both orientations: the posterior's f(x - phi_k) from the amplitudes and
+    # the sampler's f(phi_k - t) from their conjugates.
     s = pi.random_state(max_photon, 21)
     x = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 20)
     nodes = pi.grid_angles(grid_size)
-    for forward, delta in ((True, np.subtract.outer(x, nodes)), (False, np.subtract.outer(nodes, x).T)):
-        rows = _likelihood_rows(s, x, grid_size, forward)
+    for amps, delta in (
+        (s.amplitudes, np.subtract.outer(x, nodes)),
+        (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
+    ):
+        rows = _likelihood_rows(amps, x, grid_size)
         dense = pi.likelihood_density(s, delta)
         assert rows.shape == (x.size, grid_size)
         live = dense > 1e-12
@@ -126,11 +142,16 @@ def test_likelihood_rows_near_density_zeros():
     # Sine states vanish on the circle; near a zero both evaluations carry
     # float64 cancellation error, so agreement is absolute, on the peak scale.
     x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 20)
+    nodes = pi.grid_angles(4096)
     for n in (1, 8, 32):
         s = pi.sine_state(n)
-        dense = pi.likelihood_density(s, np.subtract.outer(x, pi.grid_angles(4096)))
-        rows = _likelihood_rows(s, x, 4096)
-        assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
+        for amps, delta in (
+            (s.amplitudes, np.subtract.outer(x, nodes)),
+            (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
+        ):
+            dense = pi.likelihood_density(s, delta)
+            rows = _likelihood_rows(amps, x, 4096)
+            assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
 
 
 def test_grid_likelihood_refuses_states_wider_than_the_grid():
@@ -140,6 +161,9 @@ def test_grid_likelihood_refuses_states_wider_than_the_grid():
         pi.posterior_update(pi.uniform_prior(64), s, 0.5)
     with pytest.raises(InvalidStateError):
         pi.sample_outcomes(s, 0.5, 3, 1, grid_size=64)
+    for grid_functional in (pi.fisher_information, pi.objective_gradient):
+        with pytest.raises(InvalidStateError, match="grid of 64 nodes cannot hold 101 amplitudes"):
+            grid_functional(s, 64)
 
 
 def test_phase_amplitude_scalar():
