@@ -33,9 +33,8 @@ from .errors import (
     ConfigurationError,
     DegeneratePosteriorError,
     InvalidDensityError,
-    InvalidStateError,
 )
-from .states import TWO_PI, _likelihood_rows, phase_amplitude_grid
+from .states import TWO_PI, _likelihood_rows, _require_grid_room, phase_amplitude_grid
 
 __all__ = [
     "LOG_TWO_PI",
@@ -183,8 +182,7 @@ def _canonical_values(amplitudes, grid_size):
     the Hermitian half spectrum at G - m as conj(r_m).  May round below zero.
     """
     n = amplitudes.size
-    if grid_size < n:
-        raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, n))
+    _require_grid_room(grid_size, n)
     sub = min(grid_size, max(256, 1 << (2 * n - 1).bit_length()))
     lags = np.correlate(amplitudes, amplitudes, "full")[n - 1 :] / TWO_PI
     tw = _twiddles(grid_size, sub)
@@ -218,9 +216,13 @@ def _log_posterior(logs, state, outcomes):
     The likelihoods come from the FFT kernel, one batched transform per chunk
     of ``_OUTCOME_CHUNK`` outcomes; their logs are added in outcome order and
     the sum is normalized once, so hundreds of sharp updates cannot
-    underflow.  Raises DegeneratePosteriorError at the first outcome that
-    leaves no mass at any node.
+    underflow.  Raises ConfigurationError at the first non-finite outcome,
+    before any transform, and DegeneratePosteriorError at the first outcome
+    that leaves no mass at any node.
     """
+    bad = np.flatnonzero(~np.isfinite(outcomes))
+    if bad.size:
+        raise ConfigurationError("outcome index %d is not finite: %s" % (bad[0], outcomes[bad[0]]))
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
         with np.errstate(divide="ignore"):
@@ -248,6 +250,8 @@ def posterior_update(prior, state, outcome):
 
     Raises
     ------
+    ConfigurationError
+        If the outcome is NaN or infinite.
     DegeneratePosteriorError
         If the updated density has zero mass at every node.  The message
         names the outcome that caused it.

@@ -53,6 +53,12 @@ def _require_count(value, name):
     return int(value)
 
 
+def _require_grid_room(grid_size, dim):
+    """Refuse a grid with fewer nodes than amplitudes, which would alias them."""
+    if grid_size < dim:
+        raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, dim))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm amplitude vector in the truncated number basis.
@@ -115,7 +121,7 @@ def normalize(amplitudes):
     Raises
     ------
     InvalidStateError
-        If the input is empty, non-finite, or has zero norm.
+        If the input is empty, non-finite, or its norm is zero or overflows.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size == 0:
@@ -125,6 +131,8 @@ def normalize(amplitudes):
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise InvalidStateError("cannot normalize the zero vector")
+    if norm == np.inf:
+        raise InvalidStateError("amplitude norm overflows float64; cannot normalize")
     return StateVector(amps / norm)
 
 
@@ -207,10 +215,7 @@ def phase_amplitude_grid(state, grid_size):
     Requires ``grid_size >= state.dim`` so the amplitude vector fits in the
     frequency slots without aliasing.
     """
-    if grid_size < state.dim:
-        raise InvalidStateError(
-            "grid of %d nodes cannot hold %d amplitudes" % (grid_size, state.dim)
-        )
+    _require_grid_room(grid_size, state.dim)
     # Unscaled inverse DFT of the zero-padded amplitudes: entry k is f(phi_k).
     return np.fft.ifft(state.amplitudes, n=grid_size, norm="forward")
 
@@ -225,10 +230,7 @@ def _likelihood_rows(amplitudes, offsets, grid_size):
     Offsets are reduced mod 2 pi first; the result has shape
     (len(offsets), G).
     """
-    if grid_size < amplitudes.size:
-        raise InvalidStateError(
-            "grid of %d nodes cannot hold %d amplitudes" % (grid_size, amplitudes.size)
-        )
+    _require_grid_room(grid_size, amplitudes.size)
     x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
     phase = np.multiply.outer(x, np.arange(amplitudes.size))
     return np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size)) ** 2 / TWO_PI
@@ -288,7 +290,7 @@ def load_state(path):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidStateError("cannot read state file %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidStateError("state file %s is not valid JSON: %s" % (path, exc)) from exc
     return state_from_dict(data)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,19 @@ def test_degenerate_posterior_raises():
     log_prior = pi.CircularDensity(vals, log_values=logs)
     with pytest.raises(DegeneratePosteriorError, match="outcome"):
         pi.posterior_update(log_prior, dead, 0.0)
+
+
+def test_posterior_refuses_non_finite_outcomes():
+    # NaN and inf used to surface as a vanished posterior (and inf as an
+    # np.mod warning); they are bad input, refused before any transform.
+    s = pi.sine_state(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="outcome index 0 is not finite"):
+                pi.posterior_update(pi.uniform_prior(64), s, bad)
+            with pytest.raises(ConfigurationError, match="outcome index 17 is not finite"):
+                pi.posterior_from_outcomes(s, [0.5] * 17 + [bad, np.nan], 64)
 
 
 def _direct_first_moment(p):

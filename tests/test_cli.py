@@ -91,6 +91,10 @@ def test_info_errors(tmp_path, capsys):
     bad.write_text('{"max_photon": 1}')
     assert main(["info", "--state", str(bad)]) == 2
     assert "amplitudes" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe")
+    assert main(["info", "--state", str(latin)]) == 2
+    assert "latin.json" in capsys.readouterr().err
     good = tmp_path / "good.json"
     pi.save_state(pi.normalize([1, 1]), str(good))
     assert main(["info", "--state", str(good), "--grid", "100"]) == 2

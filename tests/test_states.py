@@ -161,7 +161,7 @@ def test_grid_likelihood_refuses_states_wider_than_the_grid():
         pi.posterior_update(pi.uniform_prior(64), s, 0.5)
     with pytest.raises(InvalidStateError):
         pi.sample_outcomes(s, 0.5, 3, 1, grid_size=64)
-    for grid_functional in (pi.fisher_information, pi.objective_gradient):
+    for grid_functional in (pi.fisher_information, pi.objective_gradient, pi.canonical_density):
         with pytest.raises(InvalidStateError, match="grid of 64 nodes cannot hold 101 amplitudes"):
             grid_functional(s, 64)
 
@@ -231,3 +231,12 @@ def test_load_state_errors_name_the_path(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InvalidStateError, match="bad.json"):
         pi.load_state(str(bad))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe")
+    with pytest.raises(InvalidStateError, match="latin.json"):
+        pi.load_state(str(latin))
+    # a norm that overflows to inf used to be divided down to "state norm is 0"
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
+    with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="overflows"):
+        pi.load_state(str(huge))
