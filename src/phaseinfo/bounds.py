@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import states
 from .circular import (
     LOG_TWO_PI,
     entropy,
@@ -87,7 +88,9 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     outcomes, forms the exact posterior on the grid (in log space), and
     records log(2 pi) minus the posterior entropy.  Trial t consumes the
     t-th spawned substream of ``seed``, so the estimate is deterministic
-    and independent of trial ordering.
+    and independent of trial ordering.  On Linux the trials are shared out
+    over every CPU the process may use (forked workers); the result is the
+    same bytes for any CPU count.
 
     Returns
     -------
@@ -115,16 +118,19 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
             "needs M <= grid/16 to stay resolved" % (m, g)
         )
     children = np.random.SeedSequence(seed).spawn(trials)
-    values = np.empty(trials)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
+
+    def trial(t):
+        rng = np.random.default_rng(children[t])
         true_phase = TWO_PI * rng.random()
         outcomes = _draw_outcomes(state, true_phase, m, rng, g)
         try:
             posterior = posterior_from_outcomes(state, outcomes, g)
         except DegeneratePosteriorError as exc:
             raise DegeneratePosteriorError("trial %d: %s" % (t, exc)) from exc
-        values[t] = LOG_TWO_PI - entropy(posterior)
+        return LOG_TWO_PI - entropy(posterior)
+
+    # Through the module, so that a trace charges the trials to this layer.
+    values = np.array(states._fan_out(trial, range(trials)), dtype=np.float64)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(values.size))
     return mean, stderr

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import states
 from .circular import (
     _MASS_FLOOR,
     LOG_TWO_PI,
@@ -117,7 +118,7 @@ class OptimizationResult:
 
     ``information`` is exactly ``max(per_start)``; ``converged`` is the flag
     of the winning start.  The reported state is gauge fixed, so rerunning
-    with the same config reproduces it bit for bit.
+    with the same config reproduces it bit for bit, on any number of CPUs.
     """
 
     state: StateVector
@@ -262,7 +263,9 @@ def optimize_state(config):
     """Search for the maximum-information state at the configured cutoff.
 
     Runs ``config.starts`` independent ascents from seeded random states and
-    returns the best.  Deterministic for a fixed config.
+    returns the best.  On Linux the starts are shared out over every CPU the
+    process may use (forked workers); the result is the same bytes for any
+    CPU count, and deterministic for a fixed config.
 
     Returns
     -------
@@ -275,25 +278,24 @@ def optimize_state(config):
     start_seeds = np.random.SeedSequence(config.seed).generate_state(
         config.starts, dtype=np.uint64
     )
-    values = []
-    flags = []
-    runs = []
-    for s in start_seeds:
-        c0 = random_state(config.max_photon, int(s)).amplitudes
-        c, value, iters, converged, _ = _ascend(c0, config)
-        # The objective is a mutual information; tiny negatives are pure
-        # quadrature rounding at the N = 0 fixed point.
-        values.append(value if value > 0.0 else 0.0)
-        flags.append(converged)
-        runs.append((c, iters))
+
+    def run_start(seed):
+        c0 = random_state(config.max_photon, int(seed)).amplitudes
+        return _ascend(c0, config)[:4]
+
+    # Through the module, so that a trace charges the ascents to this layer.
+    runs = states._fan_out(run_start, start_seeds)
+    # The objective is a mutual information; tiny negatives are pure
+    # quadrature rounding at the N = 0 fixed point.
+    values = [value if value > 0.0 else 0.0 for _, value, _, _ in runs]
     best = int(np.argmax(values))
-    best_c, best_iters = runs[best]
+    best_c, _, best_iters, best_converged = runs[best]
     return OptimizationResult(
         state=gauge_fix(normalize(best_c)),
         information=float(values[best]),
         per_start=tuple(float(v) for v in values),
-        per_start_converged=tuple(bool(f) for f in flags),
-        converged=bool(flags[best]),
+        per_start_converged=tuple(bool(run[3]) for run in runs),
+        converged=bool(best_converged),
         iterations=int(best_iters),
     )
 

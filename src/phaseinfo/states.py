@@ -8,6 +8,9 @@ one component, norm within ``NORM_TOL`` of one.
 """
 
 import numbers
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,96 @@ def _require_count(value, name):
     return int(value)
 
 
+# True in a process forked by _fan_out, so that it never forks again.
+_forked = False
+
+
+def _fan_out(fn, items):
+    """``[fn(x) for x in items]``, run on every CPU this process may use.
+
+    ``items`` is cut into W = min(allowed CPUs, len(items)) contiguous
+    shares.  This process runs the first; each other share runs in a forked
+    child, which pickles its results (or the first exception it raised)
+    into a pipe and exits.  Results come back in item order, so the output
+    is the plain loop's for any CPU count as long as ``fn`` depends on its
+    item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    with one CPU, and inside a child, the plain loop runs here.
+
+    The first exception in item order is re-raised with its type and
+    message.  However the call ends, no child is left behind.
+    """
+    items = list(items)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _forked:
+        workers = min(len(os.sched_getaffinity(0)), len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    pending = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipe = os.fdopen(read_fd, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, items[cuts[w] : cuts[w + 1]], write_fd)
+                pending.append((pid, pipe))
+            finally:
+                # Only this process gets here: a child never leaves _run_share.
+                os.close(write_fd)
+        results = [fn(x) for x in items[: cuts[1]]]
+        while pending:
+            pid, pipe = pending[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del pending[0]
+            if not data:
+                raise ChildProcessError(
+                    "worker process %d ended without a result (wait status %d)" % (pid, status)
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid, pipe in pending:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+
+def _run_share(fn, share, write_fd):
+    """Child side of :func:`_fan_out`: send the share's results, then exit.
+
+    An exception, interrupts included, is sent for the parent to raise.  If
+    the payload cannot be pickled, nothing is sent and the parent reports
+    a worker that ended without a result.
+    """
+    global _forked
+    _forked = True
+    try:
+        try:
+            payload = (True, [fn(x) for x in share])
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+    finally:
+        os._exit(0)
+
+
+def _norm(amps):
+    """Euclidean norm as a float; inf, without numpy's warning, when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(amps))
+
+
 def _require_grid_room(grid_size, dim):
     """Refuse a grid with fewer nodes than amplitudes, which would alias them."""
     if grid_size < dim:
@@ -87,7 +180,7 @@ class StateVector:
             raise InvalidStateError("state needs at least one amplitude")
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
             raise InvalidStateError("amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidStateError(
                 "state norm is %.17g, expected 1 within %g" % (norm, NORM_TOL)
@@ -128,7 +221,7 @@ def normalize(amplitudes):
         raise InvalidStateError("expected a non-empty one-dimensional array")
     if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
         raise InvalidStateError("amplitudes contain non-finite entries")
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if norm == 0.0:
         raise InvalidStateError("cannot normalize the zero vector")
     if norm == np.inf:
@@ -275,14 +368,19 @@ def state_from_dict(data):
             raise InvalidStateError(
                 "field 'amplitudes'[%d] must be a [re, im] number pair" % i
             )
-        amps[i] = float(pair[0]) + 1j * float(pair[1])
-    if abs(float(np.linalg.norm(amps)) - 1.0) <= NORM_TOL:
+        try:
+            amps[i] = float(pair[0]) + 1j * float(pair[1])
+        except OverflowError:
+            raise InvalidStateError(
+                "field 'amplitudes'[%d] holds an integer too large for float64" % i
+            ) from None
+    if abs(_norm(amps) - 1.0) <= NORM_TOL:
         return StateVector(amps)
     return normalize(amps)
 
 
 def load_state(path):
-    """Read a state JSON file; errors name the offending path or field."""
+    """Read a state JSON file; errors name the file, and the field if one is at fault."""
     import json
 
     try:
@@ -292,7 +390,10 @@ def load_state(path):
         raise InvalidStateError("cannot read state file %s: %s" % (path, exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidStateError("state file %s is not valid JSON: %s" % (path, exc)) from exc
-    return state_from_dict(data)
+    try:
+        return state_from_dict(data)
+    except InvalidStateError as exc:
+        raise InvalidStateError("state file %s: %s" % (path, exc)) from exc
 
 
 def save_state(state, path):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,27 @@ def test_info_errors(tmp_path, capsys):
     pi.save_state(pi.normalize([1, 1]), str(good))
     assert main(["info", "--state", str(good), "--grid", "100"]) == 2
     assert "power of two" in capsys.readouterr().err
+
+
+def test_overflowing_state_file_prints_one_error_line(tmp_path):
+    # In a fresh interpreter, so that a numpy warning would reach stderr.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(pi.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "phaseinfo.cli", "info", "--state", str(huge)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: state file ")
+    assert "huge.json" in lines[0] and "overflows" in lines[0]
 
 
 def test_density_error_exits_2(n1_state, write_state, monkeypatch, capsys):

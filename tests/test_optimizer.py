@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -167,6 +168,8 @@ def test_one_projection_per_iteration(monkeypatch):
 
     monkeypatch.setattr(opt, "tangent_project", counting_project)
     monkeypatch.setattr(opt, "_ascend", recording_ascend)
+    # The hooks see only this process, so no start may run in a worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for config in (
         pi.OptimizerConfig(max_photon=5, starts=4),
         pi.OptimizerConfig(max_photon=5, starts=2, max_iters=3),
@@ -194,6 +197,8 @@ def test_no_full_grid_transform_in_the_search(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", recording_irfft)
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    # The hooks see only this process, so no start may run in a worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     pi.optimize_state(pi.OptimizerConfig(max_photon=8, starts=2))
     assert lengths and set(lengths) == {256}
 

@@ -1,10 +1,13 @@
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
 import phaseinfo as pi
-from phaseinfo import ConfigurationError, InvalidStateError
+from phaseinfo import ConfigurationError, DegeneratePosteriorError, InvalidStateError
+from phaseinfo import states
 from phaseinfo.states import _likelihood_rows
 
 
@@ -238,5 +241,110 @@ def test_load_state_errors_name_the_path(tmp_path):
     # a norm that overflows to inf used to be divided down to "state norm is 0"
     huge = tmp_path / "huge.json"
     huge.write_text('{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
-    with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="overflows"):
+    with pytest.raises(InvalidStateError, match="huge.json: amplitude norm overflows"):
         pi.load_state(str(huge))
+    partial = tmp_path / "partial.json"
+    partial.write_text('{"max_photon": 1}')
+    with pytest.raises(InvalidStateError, match="partial.json: .*missing field 'amplitudes'"):
+        pi.load_state(str(partial))
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"max_photon": 0, "amplitudes": [[1%s, 0]]}' % ("0" * 400))
+    with pytest.raises(InvalidStateError, match=r"wide.json: field 'amplitudes'\[0\]"):
+        pi.load_state(str(wide))
+
+
+# _fan_out: the fan-out of optimizer starts and Monte Carlo trials
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
+    config = pi.OptimizerConfig(max_photon=6, starts=5, seed=3)
+    state = pi.sine_state(4)
+
+    def run():
+        result = pi.optimize_state(config)
+        mc = pi.monte_carlo_information(state, 8, 7, seed=11)
+        return (
+            result.state.amplitudes.tobytes(),
+            result.per_start,
+            result.per_start_converged,
+            result.converged,
+            result.iterations,
+            mc,
+        )
+
+    default = run()
+    for count in (1, 2, 3):
+        _cpus(monkeypatch, count)
+        assert run() == default
+    _assert_no_child_left()
+
+
+def test_fan_out_keeps_item_order(monkeypatch):
+    _cpus(monkeypatch, 3)
+    assert states._fan_out(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+    assert states._fan_out(lambda x: x, []) == []
+    _assert_no_child_left()
+
+
+def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
+    # Two workers: this process runs items 0-2, a child 3-5.
+    _cpus(monkeypatch, 2)
+
+    def fail_at(*bad):
+        def fn(x):
+            if x in bad:
+                raise DegeneratePosteriorError("item %d" % x)
+            return x
+
+        return fn
+
+    for bad, first in (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2")):
+        with pytest.raises(DegeneratePosteriorError, match=first):
+            states._fan_out(fail_at(*bad), range(6))
+        _assert_no_child_left()
+
+
+def test_fan_out_reports_a_worker_without_a_result(monkeypatch):
+    # A result that cannot be pickled never reaches this process.
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="without a result"):
+        states._fan_out(lambda x: (lambda: x), range(2))
+    _assert_no_child_left()
+
+
+def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fn(x):
+        if x == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        states._fan_out(fn, range(2))
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_fan_out_inside_a_child_runs_serially(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fn(x):
+        return os.getpid(), states._fan_out(lambda y: os.getpid(), range(4))
+
+    runs = states._fan_out(fn, range(4))
+    in_children = [(pid, inner) for pid, inner in runs if pid != os.getpid()]
+    assert in_children
+    for pid, inner in in_children:
+        assert inner == [pid] * 4
+    _assert_no_child_left()
