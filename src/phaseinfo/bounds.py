@@ -22,6 +22,7 @@ the entropy of the phase-averaged M-mode state, and at M = 1 it reduces to
 H(p) <= log(N + 1).
 """
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,6 +82,19 @@ def asymptotic_information(fisher, modes):
     return LOG_TWO_PI + 0.5 * float(np.log(m * fisher / (TWO_PI * np.e)))
 
 
+def _trial(state, modes, grid_size, seed, t):
+    """Trial t of :func:`monte_carlo_information`: its information gain."""
+    # The t-th child that SeedSequence(seed).spawn would give.
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    true_phase = TWO_PI * rng.random()
+    outcomes = _draw_outcomes(state, true_phase, modes, rng, grid_size)
+    try:
+        posterior = posterior_from_outcomes(state, outcomes, grid_size)
+    except DegeneratePosteriorError as exc:
+        raise DegeneratePosteriorError("trial %d: %s" % (t, exc)) from exc
+    return LOG_TWO_PI - entropy(posterior)
+
+
 def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     """Monte Carlo estimate of the expected M-outcome information gain.
 
@@ -89,8 +103,9 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     records log(2 pi) minus the posterior entropy.  Trial t consumes the
     t-th spawned substream of ``seed``, so the estimate is deterministic
     and independent of trial ordering.  On Linux the trials are shared out
-    over every CPU the process may use (forked workers); the result is the
-    same bytes for any CPU count.
+    over every CPU the process may use, through workers forked at the first
+    such call and reused after it; the result is the same bytes for any CPU
+    count.
 
     Returns
     -------
@@ -117,18 +132,7 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
             "modes = %d too large for grid %d: posterior width ~ 1/sqrt(M F) "
             "needs M <= grid/16 to stay resolved" % (m, g)
         )
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    def trial(t):
-        rng = np.random.default_rng(children[t])
-        true_phase = TWO_PI * rng.random()
-        outcomes = _draw_outcomes(state, true_phase, m, rng, g)
-        try:
-            posterior = posterior_from_outcomes(state, outcomes, g)
-        except DegeneratePosteriorError as exc:
-            raise DegeneratePosteriorError("trial %d: %s" % (t, exc)) from exc
-        return LOG_TWO_PI - entropy(posterior)
-
+    trial = functools.partial(_trial, state, m, g, seed)
     # Through the module, so that a trace charges the trials to this layer.
     values = np.array(states._fan_out(trial, range(trials)), dtype=np.float64)
     mean = float(values.mean())

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on invalid input (bad flags, unreadable or
-malformed files, out-of-range parameters), 3 when an optimization completed
-and produced output but did not converge.
+malformed files, out-of-range parameters, sizes too large to allocate), 3
+when an optimization completed and produced output but did not converge.
 """
 
 import argparse
@@ -230,6 +230,10 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an impossible allocation (a huge --grid) up front.
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 
 

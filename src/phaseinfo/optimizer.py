@@ -31,6 +31,7 @@ monotone by construction.  Multimodality is handled by restarting from
 seeded random states and keeping the best run.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -259,13 +260,25 @@ def _ascend(c0, config):
     return c, value, config.max_iters, False, history
 
 
+def _require_config(config):
+    if not isinstance(config, OptimizerConfig):
+        raise ConfigurationError("expected an OptimizerConfig")
+
+
+def _run_start(config, seed):
+    """One seeded start of :func:`optimize_state`: (c, value, iters, converged)."""
+    c0 = random_state(config.max_photon, int(seed)).amplitudes
+    return _ascend(c0, config)[:4]
+
+
 def optimize_state(config):
     """Search for the maximum-information state at the configured cutoff.
 
     Runs ``config.starts`` independent ascents from seeded random states and
     returns the best.  On Linux the starts are shared out over every CPU the
-    process may use (forked workers); the result is the same bytes for any
-    CPU count, and deterministic for a fixed config.
+    process may use, through workers forked at the first such call and
+    reused after it; the result is the same bytes for any CPU count, and
+    deterministic for a fixed config.
 
     Returns
     -------
@@ -273,18 +286,12 @@ def optimize_state(config):
         ``converged`` is False when the winning start hit the iteration cap;
         the best state found is still returned.
     """
-    if not isinstance(config, OptimizerConfig):
-        raise ConfigurationError("expected an OptimizerConfig")
+    _require_config(config)
     start_seeds = np.random.SeedSequence(config.seed).generate_state(
         config.starts, dtype=np.uint64
     )
-
-    def run_start(seed):
-        c0 = random_state(config.max_photon, int(seed)).amplitudes
-        return _ascend(c0, config)[:4]
-
     # Through the module, so that a trace charges the ascents to this layer.
-    runs = states._fan_out(run_start, start_seeds)
+    runs = states._fan_out(functools.partial(_run_start, config), start_seeds)
     # The objective is a mutual information; tiny negatives are pure
     # quadrature rounding at the N = 0 fixed point.
     values = [value if value > 0.0 else 0.0 for _, value, _, _ in runs]
@@ -307,6 +314,10 @@ def bound_sweep(n_max, config):
     sweep itself always completes.
     """
     _require_integer(n_max, "n_max", 0)
+    # The last cutoff's config, so that one the grid cannot hold is refused
+    # before any search runs.
+    _require_config(config)
+    replace(config, max_photon=n_max)
     points = []
     for n in range(n_max + 1):
         result = optimize_state(replace(config, max_photon=n))

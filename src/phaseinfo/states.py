@@ -7,10 +7,12 @@ consumes these vectors, so validation lives here: finite entries, at least
 one component, norm within ``NORM_TOL`` of one.
 """
 
+import atexit
 import numbers
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,88 +58,194 @@ def _require_count(value, name):
     return int(value)
 
 
-# True in a process forked by _fan_out, so that it never forks again.
-_forked = False
+# Forked workers, each (pid, task pipe, result pipe), kept between calls.
+_pool = []
+# Held by the call that is using the pool.  A nested or concurrent call
+# finds it taken and runs the plain loop, and so does every worker: workers
+# are forked by a call that holds it, and a fork copies it held.
+_pool_lock = threading.Lock()
 
 
 def _fan_out(fn, items):
     """``[fn(x) for x in items]``, run on every CPU this process may use.
 
     ``items`` is cut into W = min(allowed CPUs, len(items)) contiguous
-    shares.  This process runs the first; each other share runs in a forked
-    child, which pickles its results (or the first exception it raised)
-    into a pipe and exits.  Results come back in item order, so the output
-    is the plain loop's for any CPU count as long as ``fn`` depends on its
-    item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
-    with one CPU, and inside a child, the plain loop runs here.
+    shares.  This process runs the first and W - 1 workers the others.
+    Workers are forked at the first call that needs them and then reused:
+    each call sends a worker its pickled ``(fn, share)`` and reads the
+    pickled results back, so ``fn`` must pickle (a module-level function,
+    or a ``functools.partial`` of one) and so must its results.  A worker
+    runs the modules as they were when it was forked; monkeypatches made
+    after that do not reach it.  Results come back in item order, so the
+    output is the plain loop's for any CPU count as long as ``fn`` depends
+    on its item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing, with one CPU, inside a worker and inside a call that is
+    already fanning out, the plain loop runs here.
 
     The first exception in item order is re-raised with its type and
-    message.  However the call ends, no child is left behind.
+    message.  One raised in a worker leaves the pool in step and alive.
+    A call that ends on an exception raised here (an unpicklable ``fn``
+    among them), on an interrupt or on a dead worker kills and reaps every
+    worker; the next call forks new ones.  Workers exit with this
+    interpreter (atexit), or on end of file on their task pipe if it dies.
     """
     items = list(items)
     workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _forked:
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(items))
-    if workers < 2:
+    if workers < 2 or not _pool_lock.acquire(blocking=False):
         return [fn(x) for x in items]
+    try:
+        return _run_shares(fn, items, workers)
+    finally:
+        _pool_lock.release()
+
+
+def _run_shares(fn, items, workers):
+    """The pooled part of :func:`_fan_out`, run while holding ``_pool_lock``."""
     cuts = [len(items) * w // workers for w in range(workers + 1)]
-    pending = []
+    failure = None
     try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipe = os.fdopen(read_fd, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_share(fn, items[cuts[w] : cuts[w + 1]], write_fd)
-                pending.append((pid, pipe))
-            finally:
-                # Only this process gets here: a child never leaves _run_share.
-                os.close(write_fd)
+        jobs = [pickle.dumps((fn, items[cuts[w] : cuts[w + 1]])) for w in range(1, workers)]
+        pool = _ready_workers(workers - 1)
+        for (_, tasks, _), job in zip(pool, jobs):
+            _send(tasks, job)
         results = [fn(x) for x in items[: cuts[1]]]
-        while pending:
-            pid, pipe = pending[0]
-            data = pipe.read()
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del pending[0]
-            if not data:
+        for worker in pool:
+            reply = _receive(worker[2])
+            if reply is None:
+                _pool.remove(worker)
                 raise ChildProcessError(
-                    "worker process %d ended without a result (wait status %d)" % (pid, status)
+                    "worker process %d ended without a result (wait status %d)"
+                    % (worker[0], _reap(worker))
                 )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.extend(value)
-        return results
-    finally:
-        for pid, pipe in pending:
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
+            ok, value = pickle.loads(reply)
+            if ok:
+                results.extend(value)
+            elif failure is None:
+                failure = value
+    except BaseException:
+        _close_pool()
+        raise
+    if failure is not None:
+        raise failure
+    return results
 
 
-def _run_share(fn, share, write_fd):
-    """Child side of :func:`_fan_out`: send the share's results, then exit.
-
-    An exception, interrupts included, is sent for the parent to raise.  If
-    the payload cannot be pickled, nothing is sent and the parent reports
-    a worker that ended without a result.
-    """
-    global _forked
-    _forked = True
-    try:
+def _ready_workers(count):
+    """The pool's first ``count`` workers, forking any that are missing or dead."""
+    for i, (pid, tasks, replies) in enumerate(_pool[:count]):
         try:
-            payload = (True, [fn(x) for x in share])
-        except BaseException as exc:
-            payload = (False, exc)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-    finally:
-        os._exit(0)
+            alive = os.waitpid(pid, os.WNOHANG)[0] == 0
+        except ChildProcessError:
+            alive = False
+        if not alive:
+            # Reaped already, by the wait above or by someone else.
+            _close_pipes(tasks, replies)
+            _pool[i] = _fork_worker()
+    while len(_pool) < count:
+        _pool.append(_fork_worker())
+    return _pool[:count]
+
+
+def _fork_worker():
+    """Fork one worker; returns its pid and this side's task and result pipes."""
+    task_read, task_write = os.pipe()
+    reply_read, reply_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_read, task_write, reply_read, reply_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(task_write)
+            os.close(reply_read)
+            _serve(task_read, reply_write)
+        finally:
+            # Never return into the caller's frames.
+            os._exit(0)
+    os.close(task_read)
+    os.close(reply_write)
+    return pid, os.fdopen(task_write, "wb"), os.fdopen(reply_read, "rb")
+
+
+def _serve(task_fd, reply_fd):
+    """Worker loop: run each ``(fn, share)`` job and send back its results.
+
+    An exception, interrupts included, is sent for the parent to raise.
+    SIGINT is ignored, so that a Ctrl-C ends a worker only through its
+    parent.  The worker exits at end of file on its task pipe, and also
+    when its payload cannot be pickled or the parent has gone; the parent
+    then reports a worker that ended without a result.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(reply_fd, "wb") as replies:
+        while (job := _receive(tasks)) is not None:
+            try:
+                fn, share = pickle.loads(job)
+                payload = (True, [fn(x) for x in share])
+            except BaseException as exc:
+                payload = (False, exc)
+            _send(replies, pickle.dumps(payload))
+
+
+def _send(pipe, data):
+    """Write one message: its length as 8 bytes, then its bytes."""
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The bytes of the next message written by :func:`_send`; None at end of file."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data if len(data) == size else None
+
+
+def _close_pipes(*pipes):
+    for pipe in pipes:
+        try:
+            pipe.close()
+        except OSError:
+            pass
+
+
+def _reap(worker):
+    """Kill a worker, close its pipes and wait for it; returns its wait status."""
+    pid, tasks, replies = worker
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    _close_pipes(tasks, replies)
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
+
+
+def _close_pool():
+    """Kill and reap every worker; the next call that fans out forks new ones."""
+    while _pool:
+        _reap(_pool.pop())
+
+
+def _forget_pool():
+    """In a child forked from the pool's owner, close its copies of the pipes."""
+    for _, tasks, replies in _pool:
+        _close_pipes(tasks, replies)
+    _pool.clear()
+
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _norm(amps):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -105,25 +106,39 @@ def test_info_errors(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
-def test_overflowing_state_file_prints_one_error_line(tmp_path):
-    # In a fresh interpreter, so that a numpy warning would reach stderr.
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
+def _run_fresh(*args):
+    """The CLI in a fresh interpreter, so that warnings and tracebacks reach stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(pi.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "phaseinfo.cli", "info", "--state", str(huge)],
+    return subprocess.run(
+        [sys.executable, "-m", "phaseinfo.cli", *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_overflowing_state_file_prints_one_error_line(tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
+    proc = _run_fresh("info", "--state", str(huge))
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: state file ")
     assert "huge.json" in lines[0] and "overflows" in lines[0]
+
+
+def test_unallocatable_grid_prints_one_error_line(n1_state, write_state):
+    # numpy refuses a 2**62-node grid at once, without touching memory.
+    proc = _run_fresh("info", "--state", write_state(n1_state), "--grid", str(2**62))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "allocate" in lines[0]
 
 
 def test_density_error_exits_2(n1_state, write_state, monkeypatch, capsys):
@@ -233,6 +248,17 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 def test_sweep_rejects_negative_range(capsys):
     assert main(["sweep", "--n-max", "-1"]) == 2
+
+
+def test_sweep_refuses_a_cutoff_the_grid_cannot_hold_before_any_search():
+    start = time.monotonic()
+    proc = _run_fresh("sweep", "--n-max", "4096")
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "4097 amplitudes" in lines[0]
 
 
 # simulate

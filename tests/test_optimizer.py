@@ -1,4 +1,5 @@
 import os
+import time
 import warnings
 
 import numpy as np
@@ -279,3 +280,13 @@ def test_bound_sweep_small():
     for p in points:
         baseline = pi.mutual_information_single(pi.sine_state(p.max_photon))
         assert p.information >= baseline - 1e-9
+
+
+def test_bound_sweep_refuses_bad_input_before_any_search():
+    config = pi.OptimizerConfig(max_photon=0, grid_size=64)
+    start = time.monotonic()
+    with pytest.raises(ConfigurationError, match="cannot hold 65 amplitudes"):
+        pi.bound_sweep(64, config)
+    assert time.monotonic() - start < 1.0
+    with pytest.raises(ConfigurationError, match="expected an OptimizerConfig"):
+        pi.bound_sweep(2, {"max_photon": 0})

@@ -1,6 +1,12 @@
+import functools
 import json
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,7 +259,8 @@ def test_load_state_errors_name_the_path(tmp_path):
         pi.load_state(str(wide))
 
 
-# _fan_out: the fan-out of optimizer starts and Monte Carlo trials
+# _fan_out: the fan-out of optimizer starts and Monte Carlo trials.  Work
+# crosses a pipe to the workers, so it must be module-level functions.
 
 
 def _cpus(monkeypatch, count):
@@ -263,6 +270,38 @@ def _cpus(monkeypatch, count):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _worker_pids():
+    return [pid for pid, _, _ in states._pool]
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_at(bad, x):
+    if x in bad:
+        raise DegeneratePosteriorError("item %d" % x)
+    return x
+
+
+def _unpicklable_result(x):
+    return lambda: x
+
+
+def _interrupt_or_sleep(x):
+    if x == 0:
+        raise KeyboardInterrupt
+    time.sleep(60)
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _pid_and_nested_pids(x):
+    return os.getpid(), states._fan_out(_pid, range(4))
 
 
 def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
@@ -285,31 +324,38 @@ def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
     for count in (1, 2, 3):
         _cpus(monkeypatch, count)
         assert run() == default
+    pids = _worker_pids()
+    assert len(pids) >= 2
+    assert run() == default
+    assert _worker_pids() == pids
+    states._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_keeps_item_order(monkeypatch):
     _cpus(monkeypatch, 3)
-    assert states._fan_out(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    assert states._fan_out(lambda x: x, []) == []
+    assert states._fan_out(_square, range(10)) == [x * x for x in range(10)]
+    pids = _worker_pids()
+    assert states._fan_out(_square, range(7)) == [x * x for x in range(7)]
+    assert states._fan_out(_square, []) == []
+    assert _worker_pids() == pids
+    states._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
-    # Two workers: this process runs items 0-2, a child 3-5.
+    # Two workers: this process runs items 0-2, a worker 3-5.
     _cpus(monkeypatch, 2)
-
-    def fail_at(*bad):
-        def fn(x):
-            if x in bad:
-                raise DegeneratePosteriorError("item %d" % x)
-            return x
-
-        return fn
-
     for bad, first in (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2")):
+        states._fan_out(_square, range(2))
+        pids = _worker_pids()
         with pytest.raises(DegeneratePosteriorError, match=first):
-            states._fan_out(fail_at(*bad), range(6))
+            states._fan_out(functools.partial(_fail_at, bad), range(6))
+        if min(bad) >= 3:
+            # Raised in the worker alone: the pool stays in step and alive.
+            assert _worker_pids() == pids
+            assert states._fan_out(_square, range(6)) == [x * x for x in range(6)]
+            states._close_pool()
         _assert_no_child_left()
 
 
@@ -317,34 +363,122 @@ def test_fan_out_reports_a_worker_without_a_result(monkeypatch):
     # A result that cannot be pickled never reaches this process.
     _cpus(monkeypatch, 2)
     with pytest.raises(ChildProcessError, match="without a result"):
-        states._fan_out(lambda x: (lambda: x), range(2))
+        states._fan_out(_unpicklable_result, range(2))
     _assert_no_child_left()
 
 
 def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
     _cpus(monkeypatch, 2)
-
-    def fn(x):
-        if x == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        states._fan_out(fn, range(2))
+        states._fan_out(_interrupt_or_sleep, range(2))
     assert time.monotonic() - start < 30
     _assert_no_child_left()
 
 
 def test_fan_out_inside_a_child_runs_serially(monkeypatch):
+    # So does a call made by this process's own share while the pool works.
     _cpus(monkeypatch, 2)
-
-    def fn(x):
-        return os.getpid(), states._fan_out(lambda y: os.getpid(), range(4))
-
-    runs = states._fan_out(fn, range(4))
-    in_children = [(pid, inner) for pid, inner in runs if pid != os.getpid()]
-    assert in_children
-    for pid, inner in in_children:
+    runs = states._fan_out(_pid_and_nested_pids, range(4))
+    assert any(pid != os.getpid() for pid, _ in runs)
+    for pid, inner in runs:
         assert inner == [pid] * 4
+    pids = _worker_pids()
+    assert states._fan_out(_pid_and_nested_pids, range(4)) == runs
+    assert _worker_pids() == pids
+    states._close_pool()
     _assert_no_child_left()
+
+
+def test_fan_out_refuses_an_unpicklable_fn(monkeypatch):
+    _cpus(monkeypatch, 2)
+    for existing_pool in (False, True):
+        if existing_pool:
+            states._fan_out(_square, range(2))
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            states._fan_out(lambda x: x, range(2))
+        assert states._pool == []
+        _assert_no_child_left()
+
+
+def test_fan_out_replaces_a_killed_idle_worker(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    killed = _worker_pids()[0]
+    os.kill(killed, signal.SIGKILL)
+    # Wait until it is dead, and leave it for the pool to reap.
+    os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _worker_pids() and killed not in _worker_pids()
+    states._close_pool()
+    _assert_no_child_left()
+
+
+def test_a_process_forked_from_the_owner_drops_the_pool(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    pids = _worker_pids()
+    child = os.fork()
+    if child == 0:
+        ok = False
+        try:
+            dropped = states._pool == []
+            ok = dropped and states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+            states._close_pool()
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _worker_pids() == pids
+    states._close_pool()
+    _assert_no_child_left()
+
+
+def _running(pid):
+    """True while ``pid`` is a live process; a zombie does not count."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("exit_call", ["sys.exit(0)", "os._exit(0)"])
+def test_fan_out_workers_exit_with_the_interpreter(exit_call, tmp_path):
+    # The pids go to a file: a worker holding a captured stdout would make
+    # subprocess.run wait for the worker too.
+    pid_file = tmp_path / "pids"
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+        "from phaseinfo import states; "
+        "assert states._fan_out(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]; "
+        "open(sys.argv[1], 'w').write(' '.join(str(w[0]) for w in states._pool)); "
+        + exit_call
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(pi.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, str(pid_file)],
+        stdout=subprocess.DEVNULL,
+        env=env,
+        check=True,
+    )
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    if exit_call == "sys.exit(0)":
+        # The atexit hook has killed and reaped them before the interpreter ended.
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    else:
+        # No atexit hook: they leave on end of file on their task pipes.
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(_running(pid) for pid in pids)
