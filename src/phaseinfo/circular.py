@@ -85,7 +85,8 @@ def validate_grid_size(grid_size):
 
     Powers of two keep the FFT evaluation path exact and fast; the floor of
     64 keeps quadrature honest for every state within the supported photon
-    cutoffs.  Returns the validated size as int.
+    cutoffs.  A grid too large for numpy to size its complex128 node table
+    is refused too.  Returns the validated size as int.
     """
     g = grid_size
     if not isinstance(g, (int, np.integer)) or isinstance(g, bool):
@@ -95,6 +96,8 @@ def validate_grid_size(grid_size):
         raise ConfigurationError(
             "grid size must be a power of two >= 64, got %d" % g
         )
+    if g * 16 > np.iinfo(np.intp).max:
+        raise ConfigurationError("cannot allocate a grid of %d nodes" % g)
     return g
 
 

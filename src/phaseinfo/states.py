@@ -8,6 +8,7 @@ one component, norm within ``NORM_TOL`` of one.
 """
 
 import atexit
+import contextlib
 import numbers
 import os
 import pickle
@@ -71,23 +72,24 @@ def _fan_out(fn, items):
 
     ``items`` is cut into W = min(allowed CPUs, len(items)) contiguous
     shares.  This process runs the first and W - 1 workers the others.
-    Workers are forked at the first call that needs them and then reused:
-    each call sends a worker its pickled ``(fn, share)`` and reads the
-    pickled results back, so ``fn`` must pickle (a module-level function,
-    or a ``functools.partial`` of one) and so must its results.  A worker
-    runs the modules as they were when it was forked; monkeypatches made
-    after that do not reach it.  Results come back in item order, so the
-    output is the plain loop's for any CPU count as long as ``fn`` depends
-    on its item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is
-    missing, with one CPU, inside a worker and inside a call that is
-    already fanning out, the plain loop runs here.
+    Workers are forked at the first call that needs them and then reused.
+    Each job and each reply crosses a pipe as one pickle, which marks its
+    own end, so ``fn`` must pickle (a module-level function, or a
+    ``functools.partial`` of one) and so must its results.  A worker runs
+    the modules as they were when it was forked; monkeypatches made after
+    that do not reach it.  Results come back in item order, so the output
+    is the plain loop's for any CPU count as long as ``fn`` depends on its
+    item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    with one CPU, inside a worker and inside a call that is already fanning
+    out, the plain loop runs here.
 
     The first exception in item order is re-raised with its type and
     message.  One raised in a worker leaves the pool in step and alive.
     A call that ends on an exception raised here (an unpicklable ``fn``
-    among them), on an interrupt or on a dead worker kills and reaps every
-    worker; the next call forks new ones.  Workers exit with this
-    interpreter (atexit), or on end of file on their task pipe if it dies.
+    among them), on an interrupt or on a worker without a result, or that
+    finds a worker dead when it starts, kills and reaps every worker; the
+    next call forks new ones.  Workers exit with this interpreter (atexit),
+    or at end of file on their task pipe if it dies.
     """
     items = list(items)
     workers = 1
@@ -95,31 +97,28 @@ def _fan_out(fn, items):
         workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2 or not _pool_lock.acquire(blocking=False):
         return [fn(x) for x in items]
-    try:
-        return _run_shares(fn, items, workers)
-    finally:
-        _pool_lock.release()
-
-
-def _run_shares(fn, items, workers):
-    """The pooled part of :func:`_fan_out`, run while holding ``_pool_lock``."""
     cuts = [len(items) * w // workers for w in range(workers + 1)]
     failure = None
     try:
         jobs = [pickle.dumps((fn, items[cuts[w] : cuts[w + 1]])) for w in range(1, workers)]
-        pool = _ready_workers(workers - 1)
+        if any(_exited(pid) for pid, _, _ in _pool):
+            _close_pool()
+        while len(_pool) < workers - 1:
+            _pool.append(_fork_worker())
+        pool = _pool[: workers - 1]
         for (_, tasks, _), job in zip(pool, jobs):
-            _send(tasks, job)
+            pickle.dump(job, tasks)
+            tasks.flush()
         results = [fn(x) for x in items[: cuts[1]]]
         for worker in pool:
-            reply = _receive(worker[2])
-            if reply is None:
+            try:
+                ok, value = pickle.load(worker[2])
+            except (EOFError, pickle.UnpicklingError):
                 _pool.remove(worker)
                 raise ChildProcessError(
                     "worker process %d ended without a result (wait status %d)"
                     % (worker[0], _reap(worker))
-                )
-            ok, value = pickle.loads(reply)
+                ) from None
             if ok:
                 results.extend(value)
             elif failure is None:
@@ -127,29 +126,31 @@ def _run_shares(fn, items, workers):
     except BaseException:
         _close_pool()
         raise
+    finally:
+        _pool_lock.release()
     if failure is not None:
         raise failure
     return results
 
 
-def _ready_workers(count):
-    """The pool's first ``count`` workers, forking any that are missing or dead."""
-    for i, (pid, tasks, replies) in enumerate(_pool[:count]):
-        try:
-            alive = os.waitpid(pid, os.WNOHANG)[0] == 0
-        except ChildProcessError:
-            alive = False
-        if not alive:
-            # Reaped already, by the wait above or by someone else.
-            _close_pipes(tasks, replies)
-            _pool[i] = _fork_worker()
-    while len(_pool) < count:
-        _pool.append(_fork_worker())
-    return _pool[:count]
+def _exited(pid):
+    """True if worker ``pid`` has ended; it is left for :func:`_reap` to wait for."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return True
 
 
 def _fork_worker():
-    """Fork one worker; returns its pid and this side's task and result pipes."""
+    """Fork one worker; returns its pid and this side's task and result pipes.
+
+    The worker ignores SIGINT, so that a Ctrl-C ends it only through its
+    parent, and loads jobs until end of file on its task pipe.  A job is
+    the pickled ``(fn, share)`` pickled once more, so that one the worker
+    cannot load still leaves the pipe in step.  It answers ``(True,
+    results)``, or ``(False, exception)`` for the parent to raise, and
+    exits when the answer cannot be pickled or the parent has gone.
+    """
     task_read, task_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
@@ -160,9 +161,20 @@ def _fork_worker():
         raise
     if pid == 0:
         try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(task_write)
             os.close(reply_read)
-            _serve(task_read, reply_write)
+            with os.fdopen(task_read, "rb") as tasks, os.fdopen(reply_write, "wb") as replies:
+                while True:
+                    # End of file raises EOFError here, which ends the worker.
+                    job = pickle.load(tasks)
+                    try:
+                        fn, share = pickle.loads(job)
+                        payload = (True, [fn(x) for x in share])
+                    except BaseException as exc:
+                        payload = (False, exc)
+                    replies.write(pickle.dumps(payload))
+                    replies.flush()
         finally:
             # Never return into the caller's frames.
             os._exit(0)
@@ -171,58 +183,17 @@ def _fork_worker():
     return pid, os.fdopen(task_write, "wb"), os.fdopen(reply_read, "rb")
 
 
-def _serve(task_fd, reply_fd):
-    """Worker loop: run each ``(fn, share)`` job and send back its results.
-
-    An exception, interrupts included, is sent for the parent to raise.
-    SIGINT is ignored, so that a Ctrl-C ends a worker only through its
-    parent.  The worker exits at end of file on its task pipe, and also
-    when its payload cannot be pickled or the parent has gone; the parent
-    then reports a worker that ended without a result.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(reply_fd, "wb") as replies:
-        while (job := _receive(tasks)) is not None:
-            try:
-                fn, share = pickle.loads(job)
-                payload = (True, [fn(x) for x in share])
-            except BaseException as exc:
-                payload = (False, exc)
-            _send(replies, pickle.dumps(payload))
-
-
-def _send(pipe, data):
-    """Write one message: its length as 8 bytes, then its bytes."""
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _receive(pipe):
-    """The bytes of the next message written by :func:`_send`; None at end of file."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    return data if len(data) == size else None
-
-
 def _close_pipes(*pipes):
     for pipe in pipes:
-        try:
+        with contextlib.suppress(OSError):
             pipe.close()
-        except OSError:
-            pass
 
 
 def _reap(worker):
     """Kill a worker, close its pipes and wait for it; returns its wait status."""
     pid, tasks, replies = worker
-    try:
+    with contextlib.suppress(ProcessLookupError):
         os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
     _close_pipes(tasks, replies)
     try:
         return os.waitpid(pid, 0)[1]

@@ -132,13 +132,19 @@ def test_overflowing_state_file_prints_one_error_line(tmp_path):
 
 
 def test_unallocatable_grid_prints_one_error_line(n1_state, write_state):
-    # numpy refuses a 2**62-node grid at once, without touching memory.
-    proc = _run_fresh("info", "--state", write_state(n1_state), "--grid", str(2**62))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "allocate" in lines[0]
+    # A 2**62-node grid is refused at once, without touching memory.
+    path = write_state(n1_state)
+    for command, extra in (
+        ("info", ()),
+        ("simulate", ("--true-phase", "0", "--shots", "2")),
+        ("bounds", ()),
+    ):
+        proc = _run_fresh(command, "--state", path, "--grid", str(2**62), *extra)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "allocate" in lines[0]
 
 
 def test_density_error_exits_2(n1_state, write_state, monkeypatch, capsys):

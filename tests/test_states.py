@@ -296,6 +296,10 @@ def _interrupt_or_sleep(x):
     time.sleep(60)
 
 
+def _reversed(data):
+    return data[::-1]
+
+
 def _pid(x):
     return os.getpid()
 
@@ -338,6 +342,21 @@ def test_fan_out_keeps_item_order(monkeypatch):
     pids = _worker_pids()
     assert states._fan_out(_square, range(7)) == [x * x for x in range(7)]
     assert states._fan_out(_square, []) == []
+    assert _worker_pids() == pids
+    states._close_pool()
+    _assert_no_child_left()
+
+
+def test_fan_out_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
+    # Every share and every result is 320 KiB, past a pipe's buffer, so each
+    # pickle crosses in several partial writes and reads.
+    _cpus(monkeypatch, 3)
+    size = 320 * 1024
+    first = [np.random.default_rng([0, i]).bytes(size) for i in range(3)]
+    assert states._fan_out(_reversed, first) == [x[::-1] for x in first]
+    pids = _worker_pids()
+    second = [np.random.default_rng([1, i]).bytes(size) for i in range(3)]
+    assert states._fan_out(_reversed, second) == [x[::-1] for x in second]
     assert _worker_pids() == pids
     states._close_pool()
     _assert_no_child_left()
@@ -399,6 +418,26 @@ def test_fan_out_refuses_an_unpicklable_fn(monkeypatch):
             states._fan_out(lambda x: x, range(2))
         assert states._pool == []
         _assert_no_child_left()
+
+
+def test_fan_out_raises_a_job_a_worker_cannot_load(monkeypatch):
+    # A function bound after the workers were forked is missing in them: the
+    # job fails to load there, and the pool stays in step and alive.
+    _cpus(monkeypatch, 2)
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    pids = _worker_pids()
+
+    def late(x):
+        return x
+
+    late.__qualname__ = "_late"
+    monkeypatch.setattr(sys.modules[__name__], "_late", late, raising=False)
+    with pytest.raises(AttributeError, match="_late"):
+        states._fan_out(late, range(4))
+    assert _worker_pids() == pids
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    states._close_pool()
+    _assert_no_child_left()
 
 
 def test_fan_out_replaces_a_killed_idle_worker(monkeypatch):
