@@ -15,17 +15,15 @@ N_MAX = 8
 
 
 def main():
-    config = pi.OptimizerConfig(max_photon=0)
-    points = pi.bound_sweep(N_MAX, config)
+    points = pi.bound_sweep(pi.OptimizerConfig(max_photon=N_MAX))
 
     print("%4s %14s %14s %14s" % ("N", "optimized", "sine window", "log(N+1)"))
     rows = []
-    for point in points:
-        sine = pi.mutual_information_single(pi.sine_state(point.max_photon)) \
-            if point.max_photon > 0 else 0.0
-        cap = np.log(point.max_photon + 1)
-        print("%4d %14.9f %14.9f %14.9f" % (point.max_photon, point.information, sine, cap))
-        rows.append((point.max_photon, point.information, sine, cap))
+    for n, point in enumerate(points):
+        sine = pi.mutual_information_single(pi.sine_state(n)) if n > 0 else 0.0
+        cap = np.log(n + 1)
+        print("%4d %14.9f %14.9f %14.9f" % (n, point.information, sine, cap))
+        rows.append((n, point.information, sine, cap))
 
     with open("sweep.csv", "w") as fh:
         fh.write("N,optimized_nats,sine_nats,log_dim\n")

@@ -125,7 +125,7 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     """
     m = _require_integer(modes, "modes", 1)
     g = validate_grid_size(grid_size)
-    trials = _require_integer(trials, "trials", 2)
+    trials = _require_integer(trials, "trials", 2, sized=True)
     seed = _require_integer(seed, "seed", 0)
     if m > g // 16:
         raise ConfigurationError(

@@ -34,7 +34,13 @@ from .errors import (
     DegeneratePosteriorError,
     InvalidDensityError,
 )
-from .states import TWO_PI, _likelihood_rows, _require_grid_room, phase_amplitude_grid
+from .states import (
+    TWO_PI,
+    _likelihood_rows,
+    _require_grid_room,
+    _require_integer,
+    phase_amplitude_grid,
+)
 
 __all__ = [
     "LOG_TWO_PI",
@@ -88,16 +94,9 @@ def validate_grid_size(grid_size):
     cutoffs.  A grid too large for numpy to size its complex128 node table
     is refused too.  Returns the validated size as int.
     """
-    g = grid_size
-    if not isinstance(g, (int, np.integer)) or isinstance(g, bool):
-        raise ConfigurationError("grid size must be an integer, got %r" % (grid_size,))
-    g = int(g)
-    if g < 64 or (g & (g - 1)) != 0:
-        raise ConfigurationError(
-            "grid size must be a power of two >= 64, got %d" % g
-        )
-    if g * 16 > np.iinfo(np.intp).max:
-        raise ConfigurationError("cannot allocate a grid of %d nodes" % g)
+    g = _require_integer(grid_size, "grid size", 64, sized=True)
+    if g & (g - 1):
+        raise ConfigurationError("grid size must be a power of two >= 64, got %d" % g)
     return g
 
 

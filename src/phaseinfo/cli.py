@@ -47,6 +47,15 @@ def _add_out(parser):
     )
 
 
+def _add_search(parser):
+    parser.add_argument("--starts", type=int, default=16, metavar="K")
+    parser.add_argument("--tol", type=float, default=1e-10, metavar="T")
+    parser.add_argument("--max-iters", type=int, default=10_000, metavar="I")
+    parser.add_argument("--seed", type=int, default=0)
+    _add_grid(parser)
+    _add_out(parser)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phaseinfo",
@@ -66,22 +75,11 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="search for the best state at one cutoff")
     p.add_argument("--max-photon", required=True, type=int, metavar="N")
-    p.add_argument("--starts", type=int, default=16, metavar="K")
-    p.add_argument("--step-init", type=float, default=0.1, metavar="S")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="T")
-    p.add_argument("--max-iters", type=int, default=10_000, metavar="I")
-    p.add_argument("--seed", type=int, default=0)
-    _add_grid(p)
-    _add_out(p)
+    _add_search(p)
 
     p = sub.add_parser("sweep", help="optimal information for every cutoff up to N")
-    p.add_argument("--n-max", required=True, type=int, metavar="N")
-    p.add_argument("--starts", type=int, default=16, metavar="K")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="T")
-    p.add_argument("--max-iters", type=int, default=10_000, metavar="I")
-    p.add_argument("--seed", type=int, default=0)
-    _add_grid(p)
-    _add_out(p)
+    p.add_argument("--n-max", required=True, type=int, metavar="N", dest="max_photon")
+    _add_search(p)
 
     p = sub.add_parser("simulate", help="draw canonical outcomes at a true phase")
     p.add_argument("--state", required=True, metavar="FILE", help="state JSON file")
@@ -125,17 +123,19 @@ def _cmd_info(args):
     return 0
 
 
-def _cmd_optimize(args):
-    config = OptimizerConfig(
+def _search_config(args):
+    return OptimizerConfig(
         max_photon=args.max_photon,
         grid_size=args.grid,
         starts=args.starts,
-        step_init=args.step_init,
         convergence_tol=args.tol,
         max_iters=args.max_iters,
         seed=args.seed,
     )
-    result = optimize_state(config)
+
+
+def _cmd_optimize(args):
+    result = optimize_state(_search_config(args))
     doc = {
         "max_photon": args.max_photon,
         "information_nats": result.information,
@@ -148,25 +148,11 @@ def _cmd_optimize(args):
 
 
 def _cmd_sweep(args):
-    config = OptimizerConfig(
-        max_photon=0,
-        grid_size=args.grid,
-        starts=args.starts,
-        convergence_tol=args.tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
-    points = bound_sweep(args.n_max, config)
+    points = bound_sweep(_search_config(args))
     lines = ["N,information_nats,converged"]
     for pt in points:
-        lines.append(
-            "%d,%s,%s"
-            % (
-                pt.max_photon,
-                format_float(pt.information),
-                "true" if pt.converged else "false",
-            )
-        )
+        flag = "true" if pt.converged else "false"
+        lines.append("%d,%s,%s" % (pt.state.max_photon, format_float(pt.information), flag))
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(pt.converged for pt in points) else 3
 

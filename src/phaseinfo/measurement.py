@@ -112,7 +112,7 @@ def sample_outcomes(state, true_phase, count, seed, grid_size=4096):
     -------
     MeasurementRecord
     """
-    count = _require_integer(count, "count", 1)
+    count = _require_integer(count, "count", 1, sized=True)
     seed = _require_integer(seed, "seed", 0)
     if not np.isfinite(true_phase):
         raise ConfigurationError("true_phase must be finite, got %r" % (true_phase,))

@@ -16,7 +16,8 @@ and multimodal for larger cutoffs.  The search is projected gradient ascent:
 * backtracking line search with an Armijo sufficient-increase test, then a
   parabolic refinement of the accepted step so each iteration lands near
   the one-dimensional maximum along its ray instead of leapfrogging it;
-* the accepted step doubles (capped at 1) to seed the next line search;
+* the first line search tries a step of 0.1; each accepted step doubles
+  (capped at 1) to seed the next one;
 * convergence when an accepted step improves the objective by less than the
   configured tolerance, or when no step as small as 1e-18 passes the test.
 
@@ -51,7 +52,6 @@ from .states import TWO_PI, StateVector, _require_integer, normalize, random_sta
 __all__ = [
     "OptimizerConfig",
     "OptimizationResult",
-    "SweepPoint",
     "objective_gradient",
     "tangent_project",
     "gauge_fix",
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-18
+_FIRST_STEP = 0.1
 
 # Armijo coefficient: fraction of the first-order gain a step must realize.
 _SUFFICIENT = 0.1
@@ -78,8 +79,6 @@ class OptimizerConfig:
         enough to hold N + 1 amplitudes).
     starts : int
         Number of random restarts.
-    step_init : float
-        Initial line-search step, positive and finite.
     convergence_tol : float
         An accepted improvement below this declares the run converged;
         positive and finite.
@@ -92,7 +91,6 @@ class OptimizerConfig:
     max_photon: int
     grid_size: int = 4096
     starts: int = 16
-    step_init: float = 0.1
     convergence_tol: float = 1e-10
     max_iters: int = 10_000
     seed: int = 0
@@ -104,9 +102,7 @@ class OptimizerConfig:
             raise ConfigurationError(
                 "grid size %d cannot hold %d amplitudes" % (g, self.max_photon + 1)
             )
-        _require_integer(self.starts, "starts", 1)
-        if not 0.0 < self.step_init < np.inf:
-            raise ConfigurationError("step_init must be positive and finite")
+        _require_integer(self.starts, "starts", 1, sized=True)
         if not 0.0 < self.convergence_tol < np.inf:
             raise ConfigurationError("convergence_tol must be positive and finite")
         _require_integer(self.max_iters, "max_iters", 1)
@@ -128,14 +124,6 @@ class OptimizationResult:
     per_start_converged: tuple
     converged: bool
     iterations: int
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    max_photon: int
-    information: float
-    state: StateVector
-    converged: bool
 
 
 def _objective(c, grid_size):
@@ -211,7 +199,7 @@ def _ascend(c0, config):
     c /= np.linalg.norm(c)
     value, density = _objective(c, g)
     history = [value]
-    step = config.step_init
+    step = _FIRST_STEP
     for iteration in range(1, config.max_iters + 1):
         direction = tangent_project(c, _gradient(c, density))
         gsq = float(np.real(np.vdot(direction, direction)))
@@ -307,26 +295,12 @@ def optimize_state(config):
     )
 
 
-def bound_sweep(n_max, config):
-    """Optimal information at every cutoff N = 0 .. n_max.
+def bound_sweep(config):
+    """Optimal information at every cutoff N = 0 .. ``config.max_photon``.
 
-    Non-convergence at some cutoff is recorded in that point's flag; the
+    Returns one :class:`OptimizationResult` per cutoff, in order.
+    Non-convergence at some cutoff is recorded in that result's flag; the
     sweep itself always completes.
     """
-    _require_integer(n_max, "n_max", 0)
-    # The last cutoff's config, so that one the grid cannot hold is refused
-    # before any search runs.
     _require_config(config)
-    replace(config, max_photon=n_max)
-    points = []
-    for n in range(n_max + 1):
-        result = optimize_state(replace(config, max_photon=n))
-        points.append(
-            SweepPoint(
-                max_photon=n,
-                information=result.information,
-                state=result.state,
-                converged=result.converged,
-            )
-        )
-    return points
+    return [optimize_state(replace(config, max_photon=n)) for n in range(config.max_photon + 1)]

@@ -42,11 +42,19 @@ TWO_PI = 2.0 * np.pi
 # Acceptable deviation of |c| from 1 before a vector is rejected.
 NORM_TOL = 1e-12
 
+# The most 16-byte entries that numpy can size an array for.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
 
-def _require_integer(value, name, minimum):
-    """``value`` as int if it is a non-bool integer >= ``minimum``; floats are refused."""
+
+def _require_integer(value, name, minimum, sized=False):
+    """``value`` as int if it is a non-bool integer >= ``minimum``; floats are refused.
+
+    With ``sized``, so is a count of 16-byte entries too large for numpy to allocate.
+    """
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    if sized and value > _MAX_ENTRIES:
+        raise ConfigurationError("cannot allocate %s = %d" % (name, value))
     return int(value)
 
 
@@ -467,7 +475,7 @@ def load_state(path):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidStateError("cannot read state file %s: %s" % (path, exc)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidStateError("state file %s is not valid JSON: %s" % (path, exc)) from exc
     try:
         return state_from_dict(data)

@@ -224,7 +224,7 @@ def test_invariance_suite(n1_state):
 
 def test_optimal_info_sweep():
     t0 = time.monotonic()
-    points = pi.bound_sweep(8, pi.OptimizerConfig(max_photon=0))
+    points = pi.bound_sweep(pi.OptimizerConfig(max_photon=8))
     elapsed = time.monotonic() - t0
     infos = [p.information for p in points]
     baselines = [pi.mutual_information_single(pi.sine_state(n)) for n in range(9)]

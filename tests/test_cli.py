@@ -147,6 +147,22 @@ def test_unallocatable_grid_prints_one_error_line(n1_state, write_state):
         assert "allocate" in lines[0]
 
 
+def test_unallocatable_counts_print_one_error_line(n1_state, write_state, capsys):
+    # These escaped from numpy or from list() as ValueError or OverflowError tracebacks.
+    path = write_state(n1_state)
+    for args in (
+        ["simulate", "--state", path, "--true-phase", "0", "--shots", str(2**62)],
+        ["optimize", "--max-photon", "2", "--starts", str(2**62)],
+        ["sweep", "--n-max", "2", "--starts", str(2**62)],
+        ["bounds", "--state", path, "--modes", "1", "--trials", str(2**70)],
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot allocate")
+
+
 def test_density_error_exits_2(n1_state, write_state, monkeypatch, capsys):
     def bad_report(state, grid_size):
         return pi.CircularDensity(np.full(grid_size, -1.0))
@@ -212,8 +228,9 @@ def test_optimize_rejects_bad_config(capsys):
 
 
 def test_optimize_rejects_infinite_step(capsys):
+    # the option is gone; an infinite step once hung the line search
     assert main(["optimize", "--max-photon", "2", "--step-init", "inf"]) == 2
-    assert "step_init" in capsys.readouterr().err
+    assert "--step-init" in capsys.readouterr().err
 
 
 # sweep

@@ -253,6 +253,11 @@ def test_load_state_errors_name_the_path(tmp_path):
     partial.write_text('{"max_photon": 1}')
     with pytest.raises(InvalidStateError, match="partial.json: .*missing field 'amplitudes'"):
         pi.load_state(str(partial))
+    # a RecursionError from the JSON decoder used to escape as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(InvalidStateError, match="deep.json"):
+        pi.load_state(str(deep))
     wide = tmp_path / "wide.json"
     wide.write_text('{"max_photon": 0, "amplitudes": [[1%s, 0]]}' % ("0" * 400))
     with pytest.raises(InvalidStateError, match=r"wide.json: field 'amplitudes'\[0\]"):
