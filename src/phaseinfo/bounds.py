@@ -92,7 +92,22 @@ def _trial(state, modes, grid_size, seed, t):
         posterior = posterior_from_outcomes(state, outcomes, grid_size)
     except DegeneratePosteriorError as exc:
         raise DegeneratePosteriorError("trial %d: %s" % (t, exc)) from exc
-    return LOG_TWO_PI - entropy(posterior)
+    # The uniform prior maximizes entropy, so a negative gain is rounding.
+    return max(LOG_TWO_PI - entropy(posterior), 0.0)
+
+
+def _require_run(modes, trials, seed, grid_size):
+    """Checked (modes, trials, seed, grid size) of :func:`monte_carlo_information`."""
+    m = _require_integer(modes, "modes", 1)
+    g = validate_grid_size(grid_size)
+    trials = _require_integer(trials, "trials", 2, sized=True)
+    seed = _require_integer(seed, "seed", 0)
+    if m > g // 16:
+        raise ConfigurationError(
+            "modes = %d too large for grid %d: posterior width ~ 1/sqrt(M F) "
+            "needs M <= grid/16 to stay resolved" % (m, g)
+        )
+    return m, trials, seed, g
 
 
 def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
@@ -100,12 +115,12 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
 
     Each trial draws a true phase uniformly, simulates ``modes`` canonical
     outcomes, forms the exact posterior on the grid (in log space), and
-    records log(2 pi) minus the posterior entropy.  Trial t consumes the
-    t-th spawned substream of ``seed``, so the estimate is deterministic
-    and independent of trial ordering.  On Linux the trials are shared out
-    over every CPU the process may use, through workers forked at the first
-    such call and reused after it; the result is the same bytes for any CPU
-    count.
+    records log(2 pi) minus the posterior entropy, clamped at zero against
+    rounding.  Trial t consumes the t-th spawned substream of ``seed``, so
+    the estimate is deterministic and independent of trial ordering.  On
+    Linux the trials are shared out over every CPU the process may use,
+    through workers forked at the first such call and reused after it; the
+    result is the same bytes for any CPU count.
 
     Returns
     -------
@@ -123,15 +138,7 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     DegeneratePosteriorError
         Propagated from any trial, tagged with the trial index.
     """
-    m = _require_integer(modes, "modes", 1)
-    g = validate_grid_size(grid_size)
-    trials = _require_integer(trials, "trials", 2, sized=True)
-    seed = _require_integer(seed, "seed", 0)
-    if m > g // 16:
-        raise ConfigurationError(
-            "modes = %d too large for grid %d: posterior width ~ 1/sqrt(M F) "
-            "needs M <= grid/16 to stay resolved" % (m, g)
-        )
+    m, trials, seed, g = _require_run(modes, trials, seed, grid_size)
     trial = functools.partial(_trial, state, m, g, seed)
     # Through the module, so that a trace charges the trials to this layer.
     values = np.array(states._fan_out(trial, range(trials)), dtype=np.float64)
@@ -144,11 +151,12 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
 class BoundReport:
     """All bound quantities for one (state, M) pair.
 
-    Construction enforces internal consistency: the chain bound matches
-    modes times the single-measurement information, the Monte Carlo mean
-    does not exceed the chain bound beyond 3 sigma plus quadrature slack,
-    and the asymptote is present exactly when Fisher information is.  The
-    Monte Carlo mean is allowed above log(2 pi): see the module docstring.
+    Construction enforces internal consistency: every number but an absent
+    asymptote is finite, the chain bound matches modes times the
+    single-measurement information, the Monte Carlo mean does not exceed
+    the chain bound beyond 3 sigma plus quadrature slack, and the asymptote
+    is present exactly when Fisher information is.  The Monte Carlo mean is
+    allowed above log(2 pi): see the module docstring.
     """
 
     modes: int
@@ -163,12 +171,13 @@ class BoundReport:
     def __post_init__(self):
         _require_integer(self.modes, "modes", 1)
         _require_integer(self.mc_trials, "mc_trials", 2)
-        if not self.mc_stderr >= 0.0:
-            raise ConfigurationError("mc_stderr must be nonnegative")
-        if not (np.isfinite(self.fisher) and self.fisher >= 0.0):
-            raise ConfigurationError("fisher must be finite and nonnegative")
-        if not self.single_info >= 0.0:
-            raise ConfigurationError("single_info must be nonnegative")
+        for name in ("mc_stderr", "fisher", "single_info"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError("%s must be finite and nonnegative" % name)
+        for name in ("mc_information", "chain_upper_bound", "asymptotic_value"):
+            value = getattr(self, name)
+            if not (value is None and name == "asymptotic_value" or np.isfinite(value)):
+                raise ConfigurationError("%s must be finite" % name)
         expected_chain = self.modes * self.single_info
         if abs(self.chain_upper_bound - expected_chain) > 1e-9:
             raise ConfigurationError(

@@ -197,6 +197,48 @@ def _canonical_values(amplitudes, grid_size):
     return np.fft.irfft(half, n=sub, norm="forward")
 
 
+def _plogp(p):
+    """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300.
+
+    ``p`` may be a node-ordered density or the (Q, L) polyphase layout.
+    """
+    logp = np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
+    return float((p * logp).sum()), logp
+
+
+def _information(c, grid_size):
+    """I_1 = log(2 pi) - H at unit amplitudes c, with the density and log-density.
+
+    p and log p stay in the (Q, L) layout of ``_canonical_values`` for the
+    gradient.  I_1 >= 0 holds exactly, so the clamp at zero removes rounding.
+    """
+    p = _canonical_values(c, grid_size)
+    plogp, logp = _plogp(p)
+    value = LOG_TWO_PI + plogp * TWO_PI / grid_size
+    return (value if value > 0.0 else 0.0), (p, logp)
+
+
+def _information_gradient(c, density):
+    """Wirtinger gradient d I_1 / d conj(c) from ``_information``'s (p, log p).
+
+    One batched real FFT of 1 + log p along the rows of the (Q, L) layout, a
+    sum of its Q rows against the conjugate twiddles, then a Toeplitz product.
+    """
+    # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
+    # with w = 1 + log P, equals sum_j W_{(n-j) mod G} c_j for W = DFT(w) / G.
+    # log P is 0 at masked nodes, so adding the mask gives w = 0 there.
+    # In the (Q, L) layout W_m = (1/Q) sum_q e^{-i m phi_q} DFT_L(w[q])_m / L.
+    p, logp = density
+    q, sub = p.shape
+    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")[:, : c.size]
+    w = np.einsum("qm,qm->m", w, _twiddles(q * sub, sub)[:, : c.size].conj()) / q
+    if c.size > w.size:
+        # Lags past G/2 (only with Q = 1) are conjugates of their mirror images.
+        w = np.concatenate((w, np.conj(w[sub - np.arange(w.size, c.size)])))
+    kernel = np.concatenate((np.conj(w[:0:-1]), w))
+    return np.convolve(kernel, c)[c.size - 1 : 2 * c.size - 1]
+
+
 def canonical_density(state, grid_size):
     """Canonical measurement density of a state on the uniform grid.
 
@@ -275,15 +317,6 @@ def posterior_from_outcomes(state, outcomes, grid_size):
     return _log_posterior(np.full(g, -LOG_TWO_PI), state, outcomes)
 
 
-def _plogp(p):
-    """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300.
-
-    ``p`` may be a node-ordered density or the (Q, L) polyphase layout.
-    """
-    logp = np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
-    return float((p * logp).sum()), logp
-
-
 def entropy(density):
     """Differential entropy in nats, by the periodic midpoint rule.
 
@@ -300,10 +333,9 @@ def mutual_information_single(state, grid_size=4096):
     Covariance of the measurement makes this log(2 pi) minus the entropy of
     the state's canonical density; no average over true phases is needed.
     Clamped at zero against rounding, since the uniform prior is the entropy
-    maximizer.
+    maximizer.  Summed in the polyphase layout by ``_information``.
     """
-    value = LOG_TWO_PI - entropy(canonical_density(state, grid_size))
-    return value if value > 0.0 else 0.0
+    return _information(state.amplitudes, validate_grid_size(grid_size))[0]
 
 
 def fisher_information(state, grid_size=4096):
@@ -323,8 +355,7 @@ def fisher_information(state, grid_size=4096):
     limit_form = 4.0 * np.abs(fprime) ** 2 / TWO_PI
     safe = np.where(p > _FISHER_FLOOR, p, 1.0)
     integrand = np.where(p > _FISHER_FLOOR, pprime**2 / safe, limit_form)
-    value = float(integrand.sum()) * TWO_PI / g
-    return value if value > 0.0 else 0.0
+    return float(integrand.sum()) * TWO_PI / g
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-from .bounds import bound_report
-from .circular import information_report, validate_grid_size
+from .bounds import _require_run, bound_report
+from .circular import information_report
 from .errors import PhaseinfoError
 from .measurement import record_to_dict, sample_outcomes
 from .optimizer import OptimizerConfig, bound_sweep, optimize_state
@@ -112,9 +112,7 @@ def build_parser():
 
 
 def _cmd_info(args):
-    state = load_state(args.state)
-    grid = validate_grid_size(args.grid)
-    report = information_report(state, grid)
+    report = information_report(load_state(args.state), args.grid)
     doc = report.to_dict()
     if args.bits:
         doc["entropy_bits"] = report.entropy / _LOG2
@@ -174,6 +172,8 @@ def _cmd_bounds(args):
         raise PhaseinfoError("--modes must be a comma-separated list of integers")
     if not modes:
         raise PhaseinfoError("--modes must name at least one measurement count")
+    for m in modes:
+        _require_run(m, args.trials, args.seed, args.grid)
     lines = ["M,mc_information,mc_stderr,chain_bound,asymptote"]
     for m in modes:
         report = bound_report(
@@ -211,14 +211,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except PhaseinfoError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # numpy refuses an impossible allocation (a huge --grid) up front.
+    except (PhaseinfoError, OSError, MemoryError) as exc:
+        # numpy may refuse an impossible allocation with an empty MemoryError.
         print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 

@@ -4,14 +4,8 @@ The objective J(c) = log(2 pi) - H(P_c) is smooth on the unit sphere of
 amplitude vectors, invariant under the gauge maps c_n -> exp(i(a + n b)) c_n,
 and multimodal for larger cutoffs.  The search is projected gradient ascent:
 
-* objective from the density kernel and p log p sum that
-  ``canonical_density`` and ``entropy`` use: at G = 4096 one batch of
-  G / L real inverse FFTs of length L = 256 (L = 512 above N = 127), with
-  p and log p kept in that (G / L, L) polyphase layout;
-* Wirtinger gradient from the accepted probe's log-density: one batched
-  real FFT of 1 + log p along the length-L axis of the same layout, a sum
-  of its G / L rows against the conjugate twiddles for lags 0 .. N, then an
-  (N+1) x (N+1) Toeplitz product with the amplitudes;
+* objective and Wirtinger gradient from ``circular._information`` and
+  ``_information_gradient``, whose docstrings give the polyphase layout;
 * projection onto the tangent space of the real unit sphere;
 * backtracking line search with an Armijo sufficient-increase test, then a
   parabolic refinement of the accepted step so each iteration lands near
@@ -38,16 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import states
-from .circular import (
-    _MASS_FLOOR,
-    LOG_TWO_PI,
-    _canonical_values,
-    _plogp,
-    _twiddles,
-    validate_grid_size,
-)
+from .circular import _information, _information_gradient, validate_grid_size
 from .errors import ConfigurationError
-from .states import TWO_PI, StateVector, _require_integer, normalize, random_state
+from .states import StateVector, _require_integer, normalize, random_state
 
 __all__ = [
     "OptimizerConfig",
@@ -126,32 +113,6 @@ class OptimizationResult:
     iterations: int
 
 
-def _objective(c, grid_size):
-    """J at a unit vector, with the density and log-density the gradient reuses.
-
-    Both stay in the kernel's (Q, L) polyphase layout; no probe reorders them.
-    """
-    p = _canonical_values(c, grid_size)
-    plogp, logp = _plogp(p)
-    return LOG_TWO_PI + plogp * TWO_PI / grid_size, (p, logp)
-
-
-def _gradient(c, density):
-    # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
-    # with w = 1 + log P, equals sum_j W_{(n-j) mod G} c_j for W = DFT(w) / G.
-    # log P is 0 at masked nodes, so adding the mask gives w = 0 there.
-    # In the (Q, L) layout W_m = (1/Q) sum_q e^{-i m phi_q} DFT_L(w[q])_m / L.
-    p, logp = density
-    q, sub = p.shape
-    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")[:, : c.size]
-    w = np.einsum("qm,qm->m", w, _twiddles(q * sub, sub)[:, : c.size].conj()) / q
-    if c.size > w.size:
-        # Lags past G/2 (only with Q = 1) are conjugates of their mirror images.
-        w = np.concatenate((w, np.conj(w[sub - np.arange(w.size, c.size)])))
-    kernel = np.concatenate((np.conj(w[:0:-1]), w))
-    return np.convolve(kernel, c)[c.size - 1 : 2 * c.size - 1]
-
-
 def objective_gradient(state, grid_size=4096):
     """Wirtinger gradient of the information objective at a state.
 
@@ -159,9 +120,8 @@ def objective_gradient(state, grid_size=4096):
     directional derivative of J along a real perturbation u of c is
     2 Re <grad, u> after projecting onto the sphere's tangent space.
     """
-    g = validate_grid_size(grid_size)
     c = state.amplitudes
-    return _gradient(c, _objective(c, g)[1])
+    return _information_gradient(c, _information(c, validate_grid_size(grid_size))[1])
 
 
 def tangent_project(amplitudes, grad):
@@ -197,11 +157,11 @@ def _ascend(c0, config):
     g = config.grid_size
     c = np.array(c0, dtype=np.complex128)
     c /= np.linalg.norm(c)
-    value, density = _objective(c, g)
+    value, density = _information(c, g)
     history = [value]
     step = _FIRST_STEP
     for iteration in range(1, config.max_iters + 1):
-        direction = tangent_project(c, _gradient(c, density))
+        direction = tangent_project(c, _information_gradient(c, density))
         gsq = float(np.real(np.vdot(direction, direction)))
         if gsq == 0.0:
             return c, value, iteration, True, history
@@ -209,7 +169,7 @@ def _ascend(c0, config):
         def probe(s):
             trial = c + s * direction
             trial /= np.linalg.norm(trial)
-            return _objective(trial, g) + (trial,)
+            return _information(trial, g) + (trial,)
 
         # Directional derivative along the direction is 2 * gsq, so the
         # first-order gain of a step s is 2 * s * gsq.
@@ -280,9 +240,7 @@ def optimize_state(config):
     )
     # Through the module, so that a trace charges the ascents to this layer.
     runs = states._fan_out(functools.partial(_run_start, config), start_seeds)
-    # The objective is a mutual information; tiny negatives are pure
-    # quadrature rounding at the N = 0 fixed point.
-    values = [value if value > 0.0 else 0.0 for _, value, _, _ in runs]
+    values = [value for _, value, _, _ in runs]
     best = int(np.argmax(values))
     best_c, _, best_iters, best_converged = runs[best]
     return OptimizationResult(

@@ -112,6 +112,11 @@ def test_monte_carlo_fock_carries_nothing():
     mean, stderr = pi.monte_carlo_information(pi.fock_state(1, 2), 4, 40, seed=2)
     assert abs(mean) <= 1e-9
     assert stderr <= 1e-9
+    # Every trial of |0> gains nothing; rounding must not make the mean negative.
+    for m in (1, 4):
+        mean, stderr = pi.monte_carlo_information(pi.fock_state(0, 2), m, 20)
+        assert 0.0 <= mean <= 1e-9
+        assert stderr <= 1e-9
 
 
 def test_monte_carlo_single_measurement_unbiased(n1_state):
@@ -207,6 +212,19 @@ def test_bound_report_construction_invariants():
     bad = dict(ok, mc_stderr=-0.01)
     with pytest.raises(ConfigurationError):
         pi.BoundReport(**bad)
+    # Non-finite numbers: every comparison with NaN is false, and inf - inf is NaN.
+    one = dict(modes=1, mc_information=0.2, mc_stderr=0.0, mc_trials=2, chain_upper_bound=0.3)
+    one.update(asymptotic_value=1.0, fisher=1.0, single_info=0.3)
+    pi.BoundReport(**one)
+    for bad in (
+        dict(one, mc_information=np.nan),
+        dict(one, chain_upper_bound=np.inf, single_info=np.inf),
+        dict(one, mc_stderr=np.inf),
+        dict(one, asymptotic_value=np.nan),
+        dict(one, asymptotic_value=np.inf),
+    ):
+        with pytest.raises(ConfigurationError):
+            pi.BoundReport(**bad)
 
 
 def test_information_passes_prior_entropy_for_sharp_posteriors(n1_state):

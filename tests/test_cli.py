@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import phaseinfo as pi
+from phaseinfo import cli
 from phaseinfo.cli import main
 from phaseinfo.serialize import dumps_json, format_float
 
@@ -389,6 +390,19 @@ def test_bounds_errors(n1_state, write_state, capsys):
     assert main(["bounds", "--state", path, "--modes", "abc"]) == 2
     assert main(["bounds", "--state", path, "--modes", ""]) == 2
     assert main(["bounds", "--state", path, "--modes", "2", "--trials", "1"]) == 2
+
+
+def test_bounds_checks_every_mode_before_any_report(n1_state, write_state, monkeypatch, capsys):
+    # A bad entry anywhere in --modes is refused before any report runs.
+    def no_report(*args, **kwargs):
+        raise AssertionError("bound_report ran before every mode was checked")
+
+    monkeypatch.setattr(cli, "bound_report", no_report)
+    path = write_state(n1_state)
+    for modes, message in (("1,999", "too large for grid"), ("1,0", "modes must be")):
+        assert main(["bounds", "--state", path, "--modes", modes, "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
 
 def test_negative_seed_exits_2(n1_state, write_state, capsys):

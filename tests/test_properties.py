@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phaseinfo as pi
@@ -78,6 +78,32 @@ def test_whole_cell_gauge_shifts_leave_every_functional_unchanged(
             assert after[field] == value, field
         else:
             assert abs(after[field] - value) <= 1e-12 * max(1.0, abs(value)), field
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "sine", "fock"]),
+    max_photon=st.integers(0, 40),
+    index=st.integers(0, 2**32 - 1),
+    grid=st.sampled_from([64, 256, 4096]),
+)
+# At G = 64, N >= 32 folds lags past G / 2 onto the half spectrum (Q = 1).
+@example(kind="random", max_photon=40, index=0, grid=64)
+def test_single_shot_information_agrees_with_the_entropy_of_the_density(
+    kind, max_photon, index, grid
+):
+    if kind == "random":
+        state = pi.random_state(max_photon, index)
+    elif kind == "sine":
+        state = pi.sine_state(max_photon)
+    else:
+        state = pi.fock_state(index % (max_photon + 1), max_photon)
+    value = pi.mutual_information_single(state, grid)
+    assert value >= 0.0
+    tol = 1e-14 * max(1.0, abs(value))
+    from_entropy = np.log(2.0 * np.pi) - pi.entropy(pi.canonical_density(state, grid))
+    assert abs(value - max(0.0, from_entropy)) <= tol
+    assert abs(value - pi.information_report(state, grid).mutual_information) <= tol
 
 
 @pytest.fixture(scope="module")
