@@ -200,9 +200,12 @@ def _canonical_values(amplitudes, grid_size):
 def _plogp(p):
     """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300.
 
-    ``p`` may be a node-ordered density or the (Q, L) polyphase layout.
+    ``p`` may be a node-ordered density or the (Q, L) polyphase layout.  With no
+    node at or below the floor it takes the plain log, else the log masked by
+    ``where=``; both paths give the same bits at every unmasked node.
     """
-    logp = np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
+    plain = p.min() > _MASS_FLOOR
+    logp = np.log(p) if plain else np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
     return float((p * logp).sum()), logp
 
 
@@ -269,19 +272,23 @@ def _log_posterior(logs, state, outcomes):
         raise ConfigurationError("outcome index %d is not finite: %s" % (bad[0], outcomes[bad[0]]))
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
+        loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size)
         with np.errstate(divide="ignore"):
-            loglikes = np.log(_likelihood_rows(state.amplitudes, chunk, logs.size))
+            np.log(loglikes, out=loglikes)
         for j, loglike in enumerate(loglikes, start):
             logs += loglike
-            if not np.isfinite(np.max(logs)):
+            peak = np.max(logs)
+            if not np.isfinite(peak):
                 raise DegeneratePosteriorError(
                     "posterior mass vanished at every grid node after outcome "
                     "index %d (value %.17g)" % (j, float(outcomes[j]))
                 )
-    logs -= np.max(logs)
+    logs -= peak if outcomes.size else np.max(logs)
     w = np.exp(logs)
     total = float(w.sum()) * TWO_PI / w.size
-    return CircularDensity(w / total, logs - np.log(total))
+    w /= total
+    logs -= np.log(total)
+    return CircularDensity(w, logs)
 
 
 def posterior_update(prior, state, outcome):

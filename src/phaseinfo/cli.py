@@ -6,6 +6,7 @@ when an optimization completed and produced output but did not converge.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -56,6 +57,7 @@ def _add_search(parser):
     _add_out(parser)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phaseinfo",

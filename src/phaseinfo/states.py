@@ -407,13 +407,14 @@ def _likelihood_rows(amplitudes, offsets, grid_size):
     the length-G DFT of c_n e^{i n x_j}: the posterior's view of outcome
     x_j.  The sampler passes the conjugated amplitudes, which turns row j
     into |f(phi_k - x_j)|^2 / (2 pi), its outcome table at true phase x_j.
-    Offsets are reduced mod 2 pi first; the result has shape
-    (len(offsets), G).
+    Offsets are reduced mod 2 pi first; the result is a fresh array of shape
+    (len(offsets), G) that the caller may overwrite.
     """
     _require_grid_room(grid_size, amplitudes.size)
     x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
     phase = np.multiply.outer(x, np.arange(amplitudes.size))
-    return np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size)) ** 2 / TWO_PI
+    rows = np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size))
+    return np.divide(np.square(rows, out=rows), TWO_PI, out=rows)
 
 
 def state_to_dict(state):

@@ -376,6 +376,59 @@ def test_moments_and_entropy_match_direct_formulas_bit_for_bit():
             assert circular._plogp(p)[1].tobytes() == _direct_log(p).tobytes()
 
 
+def test_plogp_matches_the_masked_log_bit_for_bit():
+    # Both the densities without a masked node and those with one, in node
+    # order and in the (Q, L) layout, give the masked log's exact bytes.
+    pair = pi.normalize([1.0, 1.0])
+    outcomes = pi.sample_outcomes(pair, 0.5, 400, 1, grid_size=256).outcomes
+    sharp = pi.posterior_from_outcomes(pair, outcomes, 256).values
+    arrays = [
+        pi.uniform_prior(64).values,
+        pi.canonical_density(pi.random_state(32, 1), 4096).values,
+        circular._canonical_values(pi.random_state(40, 2).amplitudes, 4096),
+        pi.canonical_density(pair, 64).values,
+        circular._canonical_values(pi.sine_state(8).amplitudes, 4096),
+        sharp,
+    ]
+    masked = [bool(np.any(p <= 1e-300)) for p in arrays]
+    assert masked == [False, False, False, True, True, True]
+    for p in arrays:
+        logp = np.log(p, out=np.zeros(p.shape), where=p > 1e-300)
+        plogp, got = circular._plogp(p)
+        assert got.tobytes() == logp.tobytes()
+        assert plogp == float((p * logp).sum())
+
+
+def _reference_posterior(c, logs, outcomes, g):
+    # Log-likelihood rows added one by one in outcome order, normalized once.
+    logs = logs.copy()
+    n = np.arange(c.size)
+    with np.errstate(divide="ignore"):
+        for x in outcomes:
+            logs += np.log(np.abs(np.fft.fft(c * np.exp(1j * x * n), n=g)) ** 2 / (2 * np.pi))
+    logs -= np.max(logs)
+    w = np.exp(logs)
+    total = float(w.sum()) * (2 * np.pi) / g
+    return w / total, logs - np.log(total)
+
+
+def test_posterior_matches_the_row_by_row_reference_bit_for_bit():
+    g = 4096
+    for k, s in enumerate((pi.normalize([1.0, 1.0]), pi.sine_state(8), pi.random_state(32, 1))):
+        outcomes = pi.sample_outcomes(s, 1.0 + k, 40, k, grid_size=g).outcomes
+        uniform = pi.uniform_prior(g).log_values
+        values, logs = _reference_posterior(s.amplitudes, uniform, outcomes, g)
+        batch = pi.posterior_from_outcomes(s, outcomes, g)
+        assert batch.values.tobytes() == values.tobytes()
+        assert batch.log_values.tobytes() == logs.tobytes()
+        chained = pi.uniform_prior(g)
+        for x in outcomes:
+            values, logs = _reference_posterior(s.amplitudes, chained.log_values, [x], g)
+            chained = pi.posterior_update(chained, s, x)
+            assert chained.values.tobytes() == values.tobytes()
+            assert chained.log_values.tobytes() == logs.tobytes()
+
+
 def test_unit_circle_table_is_cached_and_read_only():
     z = circular._unit_circle(256)
     assert circular._unit_circle(256) is z

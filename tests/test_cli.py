@@ -433,3 +433,24 @@ def test_unknown_command_and_flags(capsys):
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     assert "phaseinfo" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(n1_state, write_state, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = write_state(n1_state)
+    assert main(["info", "--state", path, "--bits"]) == 0
+    assert "entropy_bits" in json.loads(capsys.readouterr().out)
+    assert main(["info", "--state", path]) == 0
+    assert "entropy_bits" not in json.loads(capsys.readouterr().out)
+    simulate = ["simulate", "--state", path, "--true-phase", "0.5", "--shots", "3"]
+    assert main(simulate + ["--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert main(simulate) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["seed"] == 0
+    # Refusals by the parser and by the program leave nothing behind.
+    assert main(simulate[:-1] + ["x", "--seed", "9"]) == 2
+    assert main(simulate + ["--seed", "9", "--grid", "100"]) == 2
+    capsys.readouterr()
+    assert main(simulate) == 0
+    assert capsys.readouterr().out == first

@@ -106,25 +106,6 @@ def test_single_shot_information_agrees_with_the_entropy_of_the_density(
     assert abs(value - pi.information_report(state, grid).mutual_information) <= tol
 
 
-@pytest.fixture(scope="module")
-def fuzz_files(tmp_path_factory):
-    """State files for the CLI fuzz, from good ones to ones no parser should accept."""
-    root = tmp_path_factory.mktemp("fuzz")
-    files = {"missing": str(root / "missing.json")}
-    for name, state in (("pair", pi.normalize([1.0, 1.0])), ("fock", pi.fock_state(1, 3))):
-        files[name] = str(root / (name + ".json"))
-        pi.save_state(state, files[name])
-    for name, text in (
-        ("deep", "[" * 100000 + "]" * 100000),
-        ("broken", "{not json"),
-        ("huge", '{"max_photon": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}'),
-    ):
-        files[name] = str(root / (name + ".json"))
-        with open(files[name], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return files
-
-
 # Each option has a pool of accepted values and one of refused ones.  Every
 # call names each option, so that no default (grid 4096, 16 starts, 500
 # trials) runs, and draws at most one of them from its refused pool.  An
