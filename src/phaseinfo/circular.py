@@ -104,6 +104,9 @@ def validate_grid_size(grid_size):
 class CircularDensity:
     """Nonnegative density on the uniform circular grid, integrating to 1.
 
+    The public constructor copies and validates its input; posteriors the
+    package builds itself are adopted without either (see ``_adopt``).
+
     Parameters
     ----------
     values : ndarray
@@ -149,6 +152,21 @@ class CircularDensity:
                 raise InvalidDensityError("log_values must be free of NaN and +inf")
             logs.flags.writeable = False
             object.__setattr__(self, "log_values", logs)
+
+    @classmethod
+    def _adopt(cls, values, log_values):
+        """Wrap ``_log_posterior``'s fresh arrays read-only, without copies or checks.
+
+        The checks cannot fail there: with a finite peak, exp(logs - peak) /
+        total is finite and nonnegative, has a node at 1 / total and
+        integrates to 1 to rounding, and the logs are finite or -inf.
+        """
+        values.flags.writeable = False
+        log_values.flags.writeable = False
+        density = object.__new__(cls)
+        object.__setattr__(density, "values", values)
+        object.__setattr__(density, "log_values", log_values)
+        return density
 
     @property
     def grid_size(self):
@@ -258,37 +276,38 @@ def canonical_density(state, grid_size):
 
 
 def _log_posterior(logs, state, outcomes):
-    """Posterior from log prior values ``logs`` (updated in place) and outcomes.
+    """Posterior from log prior values ``logs``, left unchanged, and outcomes.
 
     The likelihoods come from the FFT kernel, one batched transform per chunk
     of ``_OUTCOME_CHUNK`` outcomes; their logs are added in outcome order and
     the sum is normalized once, so hundreds of sharp updates cannot
-    underflow.  Raises ConfigurationError at the first non-finite outcome,
-    before any transform, and DegeneratePosteriorError at the first outcome
-    that leaves no mass at any node.
+    underflow.  The result adopts the fresh arrays built here.  Raises
+    ConfigurationError at the first non-finite outcome, before any
+    transform, and DegeneratePosteriorError at the first outcome that leaves
+    no mass at any node.
     """
-    bad = np.flatnonzero(~np.isfinite(outcomes))
-    if bad.size:
-        raise ConfigurationError("outcome index %d is not finite: %s" % (bad[0], outcomes[bad[0]]))
+    if not np.isfinite(outcomes).all():
+        bad = np.flatnonzero(~np.isfinite(outcomes))[0]
+        raise ConfigurationError("outcome index %d is not finite: %s" % (bad, outcomes[bad]))
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
         loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size)
         with np.errstate(divide="ignore"):
             np.log(loglikes, out=loglikes)
         for j, loglike in enumerate(loglikes, start):
-            logs += loglike
-            peak = np.max(logs)
+            logs = np.add(logs, loglike, out=logs if j else None)
+            peak = logs.max()
             if not np.isfinite(peak):
                 raise DegeneratePosteriorError(
                     "posterior mass vanished at every grid node after outcome "
                     "index %d (value %.17g)" % (j, float(outcomes[j]))
                 )
-    logs -= peak if outcomes.size else np.max(logs)
+    logs = logs - (peak if outcomes.size else logs.max())
     w = np.exp(logs)
     total = float(w.sum()) * TWO_PI / w.size
     w /= total
     logs -= np.log(total)
-    return CircularDensity(w, logs)
+    return CircularDensity._adopt(w, logs)
 
 
 def posterior_update(prior, state, outcome):
@@ -296,8 +315,9 @@ def posterior_update(prior, state, outcome):
 
     The likelihood of outcome x given phase theta is the canonical density
     of ``state`` at x - theta, and the update is the log-space accumulation
-    of :func:`posterior_from_outcomes` over one outcome.  A prior without
-    log values enters through the log of its values.
+    of :func:`posterior_from_outcomes` over one outcome.  The prior's log
+    values are read without a copy; a prior without them enters through the
+    log of its values.
 
     Raises
     ------
@@ -307,8 +327,10 @@ def posterior_update(prior, state, outcome):
         If the updated density has zero mass at every node.  The message
         names the outcome that caused it.
     """
-    with np.errstate(divide="ignore"):
-        logs = np.log(prior.values) if prior.log_values is None else prior.log_values.copy()
+    logs = prior.log_values
+    if logs is None:
+        with np.errstate(divide="ignore"):
+            logs = np.log(prior.values)
     return _log_posterior(logs, state, np.array([float(outcome)]))
 
 
@@ -385,7 +407,7 @@ def circular_moments(density):
     p = density.values
     z1 = complex(np.sum(p * _unit_circle(p.size))) * TWO_PI / p.size
     r = min(abs(z1), 1.0)
-    direction = float(np.mod(np.angle(z1), TWO_PI)) if r > 0.0 else 0.0
+    direction = float(np.mod(np.arctan2(z1.imag, z1.real), TWO_PI)) if r > 0.0 else 0.0
     if direction >= TWO_PI:
         # mod of a tiny negative angle can round up to exactly 2 pi
         direction = 0.0

@@ -125,7 +125,7 @@ def record_to_dict(record):
     """JSON-ready mapping: {"true_phase": ..., "outcomes": [...], "seed": ...}."""
     return {
         "true_phase": float(record.true_phase),
-        "outcomes": [float(x) for x in record.outcomes],
+        "outcomes": record.outcomes.tolist(),
         "seed": int(record.seed),
     }
 

@@ -35,8 +35,11 @@ def _encode(obj, indent, level):
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
-        parts = [_encode(v, indent, level + 1) for v in obj]
+        if all(type(v) is float and math.isfinite(v) for v in obj):
+            flat, parts = True, ["%.17g" % v for v in obj]
+        else:
+            flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
+            parts = [_encode(v, indent, level + 1) for v in obj]
         if flat and len(parts) <= 2:
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"

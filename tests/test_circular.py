@@ -429,6 +429,50 @@ def test_posterior_matches_the_row_by_row_reference_bit_for_bit():
             assert chained.log_values.tobytes() == logs.tobytes()
 
 
+def test_posterior_update_leaves_its_prior_untouched():
+    # With logs and with values only, the prior's bytes survive the update,
+    # and the posterior shares no memory with it and cannot be written to.
+    s = pi.sine_state(8)
+    with_logs = pi.posterior_update(pi.uniform_prior(4096), s, 0.7)
+    values_only = pi.CircularDensity(with_logs.values)
+    for prior in (with_logs, values_only):
+        arrays = [a for a in (prior.values, prior.log_values) if a is not None]
+        before = [a.tobytes() for a in arrays]
+        post = pi.posterior_update(prior, s, 2.3)
+        assert [a.tobytes() for a in arrays] == before
+        for a in arrays:
+            for b in (post.values, post.log_values):
+                assert not np.shares_memory(a, b)
+        for b in (post.values, post.log_values):
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+
+
+def test_posteriors_pass_the_public_constructor_unchanged():
+    # Every posterior the package builds passes the validating constructor
+    # with the same bytes, sharp ones with underflowed nodes included.  The
+    # antisymmetric pair state's outcome 0 has an exact zero at node 0.
+    g = 4096
+    pair, dead, sine = pi.normalize([1.0, 1.0]), pi.normalize([1.0, -1.0]), pi.sine_state(8)
+    dead_outcomes = pi.sample_outcomes(dead, 0.5, 200, 1, grid_size=g).outcomes.copy()
+    dead_outcomes[0] = 0.0
+    sine_outcomes = pi.sample_outcomes(sine, 0.5, 200, 1, grid_size=g).outcomes
+    posteriors = [
+        pi.posterior_update(pi.uniform_prior(g), pair, 1.0),
+        pi.posterior_update(pi.uniform_prior(g), sine, 1.0),
+        pi.posterior_from_outcomes(dead, dead_outcomes, g),
+        pi.posterior_from_outcomes(sine, sine_outcomes, g),
+        pi.posterior_from_outcomes(sine, [], g),
+    ]
+    assert posteriors[2].values[0] == 0.0 and posteriors[2].log_values[0] == -np.inf
+    assert np.any(posteriors[3].values == 0.0) and np.isfinite(posteriors[3].log_values).all()
+    for post in posteriors:
+        rebuilt = pi.CircularDensity(post.values, post.log_values)
+        assert rebuilt.values.tobytes() == post.values.tobytes()
+        assert rebuilt.log_values.tobytes() == post.log_values.tobytes()
+
+
 def test_unit_circle_table_is_cached_and_read_only():
     z = circular._unit_circle(256)
     assert circular._unit_circle(256) is z

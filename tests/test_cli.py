@@ -50,6 +50,36 @@ def test_dumps_json_shapes():
     assert text.endswith("\n")
 
 
+def test_dumps_json_bytes_are_pinned():
+    # Plain float lists, a short pair, mixed numeric types and infinities,
+    # each in the exact bytes every result file has been written with.
+    doc = {
+        "floats": [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 2.0],
+        "pair": [0.5, -1.25],
+        "mixed": [3, np.float64(0.1)],
+        "inf": np.inf,
+        "cells": [[1.0, np.inf]],
+    }
+    assert dumps_json(doc) == (
+        '{\n'
+        '  "floats": [\n'
+        '    -0,\n'
+        '    4.9406564584124654e-324,\n'
+        '    1e+308,\n'
+        '    0.10000000000000001,\n'
+        '    0.33333333333333331,\n'
+        '    2\n'
+        '  ],\n'
+        '  "pair": [0.5, -1.25],\n'
+        '  "mixed": [3, 0.10000000000000001],\n'
+        '  "inf": "inf",\n'
+        '  "cells": [\n'
+        '    [1, "inf"]\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
 # info
 
 
