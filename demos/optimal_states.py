@@ -33,8 +33,7 @@ def main():
     print("wrote sweep.csv")
 
     # the optimized amplitude profile for the largest cutoff
-    best = pi.optimize_state(pi.OptimizerConfig(max_photon=N_MAX))
-    moduli = np.abs(best.state.amplitudes)
+    moduli = np.abs(points[-1].state.amplitudes)
     print("optimal |c_n| at N=%d: %s" % (N_MAX, " ".join("%.4f" % m for m in moduli)))
 
     try:

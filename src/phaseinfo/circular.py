@@ -78,6 +78,12 @@ def grid_angles(grid_size):
     return TWO_PI * np.arange(grid_size) / grid_size
 
 
+def _wrap_phase(x):
+    """x as a float in [0, 2 pi); np.mod rounds a tiny negative x up to 2 pi."""
+    x = float(np.mod(x, TWO_PI))
+    return 0.0 if x >= TWO_PI else x
+
+
 @functools.lru_cache(maxsize=4)
 def _unit_circle(grid_size):
     """exp(i phi_k) on the grid, read-only; a few grid sizes stay cached."""
@@ -407,10 +413,7 @@ def circular_moments(density):
     p = density.values
     z1 = complex(np.sum(p * _unit_circle(p.size))) * TWO_PI / p.size
     r = min(abs(z1), 1.0)
-    direction = float(np.mod(np.arctan2(z1.imag, z1.real), TWO_PI)) if r > 0.0 else 0.0
-    if direction >= TWO_PI:
-        # mod of a tiny negative angle can round up to exactly 2 pi
-        direction = 0.0
+    direction = _wrap_phase(np.arctan2(z1.imag, z1.real)) if r > 0.0 else 0.0
     if r < 1e-12:
         holevo = np.inf
     else:

@@ -32,29 +32,11 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _add_grid(parser):
-    parser.add_argument(
-        "--grid",
-        type=int,
-        default=4096,
-        metavar="G",
-        help="quadrature grid size, a power of two >= 64 (default 4096)",
-    )
-
-
-def _add_out(parser):
-    parser.add_argument(
-        "--out", metavar="FILE", help="write the result here instead of stdout"
-    )
-
-
 def _add_search(parser):
     parser.add_argument("--starts", type=int, default=16, metavar="K")
     parser.add_argument("--tol", type=float, default=1e-10, metavar="T")
     parser.add_argument("--max-iters", type=int, default=10_000, metavar="I")
     parser.add_argument("--seed", type=int, default=0)
-    _add_grid(parser)
-    _add_out(parser)
 
 
 @functools.cache
@@ -66,24 +48,26 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="information report for a state file")
+    p.set_defaults(run=_cmd_info)
     p.add_argument("--state", required=True, metavar="FILE", help="state JSON file")
     p.add_argument(
         "--bits",
         action="store_true",
         help="also report entropy and information converted to bits",
     )
-    _add_grid(p)
-    _add_out(p)
 
     p = sub.add_parser("optimize", help="search for the best state at one cutoff")
+    p.set_defaults(run=_cmd_optimize)
     p.add_argument("--max-photon", required=True, type=int, metavar="N")
     _add_search(p)
 
     p = sub.add_parser("sweep", help="optimal information for every cutoff up to N")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--n-max", required=True, type=int, metavar="N", dest="max_photon")
     _add_search(p)
 
     p = sub.add_parser("simulate", help="draw canonical outcomes at a true phase")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--state", required=True, metavar="FILE", help="state JSON file")
     p.add_argument(
         "--true-phase",
@@ -94,10 +78,9 @@ def build_parser():
     )
     p.add_argument("--shots", required=True, type=int, metavar="M")
     p.add_argument("--seed", type=int, default=0)
-    _add_grid(p)
-    _add_out(p)
 
     p = sub.add_parser("bounds", help="repeated-measurement bound table")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--state", required=True, metavar="FILE", help="state JSON file")
     p.add_argument(
         "--modes",
@@ -107,9 +90,18 @@ def build_parser():
     )
     p.add_argument("--trials", type=int, default=500, metavar="T")
     p.add_argument("--seed", type=int, default=0)
-    _add_grid(p)
-    _add_out(p)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--grid",
+            type=int,
+            default=4096,
+            metavar="G",
+            help="quadrature grid size, a power of two >= 64 (default 4096)",
+        )
+        p.add_argument(
+            "--out", metavar="FILE", help="write the result here instead of stdout"
+        )
     return parser
 
 
@@ -181,28 +173,12 @@ def _cmd_bounds(args):
         report = bound_report(
             state, m, trials=args.trials, seed=args.seed, grid_size=args.grid
         )
-        asym = "" if report.asymptotic_value is None else format_float(report.asymptotic_value)
-        lines.append(
-            "%d,%s,%s,%s,%s"
-            % (
-                report.modes,
-                format_float(report.mc_information),
-                format_float(report.mc_stderr),
-                format_float(report.chain_upper_bound),
-                asym,
-            )
-        )
+        values = (report.mc_information, report.mc_stderr, report.chain_upper_bound,
+                  report.asymptotic_value)
+        cells = ["" if v is None else format_float(v) for v in values]
+        lines.append(",".join(["%d" % report.modes] + cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-_COMMANDS = {
-    "info": _cmd_info,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "bounds": _cmd_bounds,
-}
 
 
 def main(argv=None):
@@ -212,7 +188,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (PhaseinfoError, OSError, MemoryError) as exc:
         # numpy may refuse an impossible allocation with an empty MemoryError.
         print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import grid_angles, validate_grid_size
+from .circular import _wrap_phase, validate_grid_size
 from .errors import ConfigurationError
 from .states import TWO_PI, _likelihood_rows, _require_integer, phase_amplitude
 
@@ -55,7 +55,7 @@ class MeasurementRecord:
     def __post_init__(self):
         if not np.isfinite(self.true_phase):
             raise ConfigurationError("true_phase must be finite, got %r" % (self.true_phase,))
-        object.__setattr__(self, "true_phase", float(np.mod(self.true_phase, TWO_PI)))
+        object.__setattr__(self, "true_phase", _wrap_phase(self.true_phase))
         outs = np.asarray(self.outcomes, dtype=np.float64)
         if outs.ndim != 1 or outs.size == 0:
             raise ConfigurationError("outcomes must form a non-empty 1-d array")
@@ -80,7 +80,6 @@ def _draw_outcomes(state, true_phase, count, rng, grid_size):
     The RNG supplies exactly ``count`` uniforms.
     """
     g = validate_grid_size(grid_size)
-    nodes = grid_angles(g)
     density = _likelihood_rows(np.conj(state.amplitudes), [true_phase], g)[0]
     cdf = np.concatenate(([0.0], np.cumsum(density) * TWO_PI / g))
     cdf /= cdf[-1]
@@ -89,7 +88,7 @@ def _draw_outcomes(state, true_phase, count, rng, grid_size):
     idx = np.clip(idx, 0, g - 1)
     cell_mass = cdf[idx + 1] - cdf[idx]
     frac = np.where(cell_mass > 0.0, (u - cdf[idx]) / np.where(cell_mass > 0.0, cell_mass, 1.0), 0.0)
-    return np.mod(nodes[idx] + frac * (TWO_PI / g), TWO_PI)
+    return np.mod(TWO_PI * idx / g + frac * (TWO_PI / g), TWO_PI)
 
 
 def sample_outcomes(state, true_phase, count, seed, grid_size=4096):

@@ -11,6 +11,10 @@ import numpy as np
 
 __all__ = ["format_float", "dumps_json"]
 
+_INDENT = "  "
+# JSON string escapes: the quote, the backslash and every control character.
+_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
 
 def format_float(x):
     """Render a float with enough digits to round-trip exactly."""
@@ -22,15 +26,16 @@ def format_float(x):
     return "%.17g" % x
 
 
-def _encode(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _encode(obj, pad):
+    inner = pad + _INDENT
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for key, value in obj.items():
-            items.append('%s"%s": %s' % (inner, key, _encode(value, indent, level + 1)))
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, got %r" % type(key))
+            items.append('%s"%s": %s' % (inner, key.translate(_ESCAPES), _encode(value, inner)))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
@@ -39,7 +44,7 @@ def _encode(obj, indent, level):
             flat, parts = True, ["%.17g" % v for v in obj]
         else:
             flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
-            parts = [_encode(v, indent, level + 1) for v in obj]
+            parts = [_encode(v, inner) for v in obj]
         if flat and len(parts) <= 2:
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
@@ -53,16 +58,18 @@ def _encode(obj, indent, level):
             return '"%s"' % format_float(x)
         return format_float(x)
     if isinstance(obj, str):
-        return '"%s"' % obj.replace("\\", "\\\\").replace('"', '\\"')
+        return '"%s"' % obj.translate(_ESCAPES)
     if obj is None:
         return "null"
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps_json(obj, indent=2):
+def dumps_json(obj):
     """Encode a dict/list tree as deterministic JSON text.
 
-    Key order is insertion order, floats use :func:`format_float`, and the
+    Key order is insertion order and the indent is two spaces.  Floats use
+    :func:`format_float`, +-inf as a string.  Keys must be str; keys and
+    strings escape the quote, the backslash and control characters.  The
     result ends with a newline.
     """
-    return _encode(obj, indent, 0) + "\n"
+    return _encode(obj, "") + "\n"

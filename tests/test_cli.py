@@ -80,6 +80,20 @@ def test_dumps_json_bytes_are_pinned():
     )
 
 
+def test_dumps_json_escapes_keys_and_strings():
+    # Every key and string value reads back unchanged through a JSON parser.
+    for doc in (
+        {'a"b': 1},
+        {"s": "line1\nline2"},
+        {"s": "tab\there"},
+        {"back\\slash": 'q"uote', "ctl": "".join(map(chr, range(32)))},
+        {"nested": [{"k\r": "\x1f"}]},
+    ):
+        assert json.loads(dumps_json(doc)) == doc
+    with pytest.raises(TypeError):
+        dumps_json({1: 2})
+
+
 # info
 
 
@@ -282,6 +296,11 @@ def test_sweep_csv(tmp_path):
     assert all(b >= a - 1e-8 for a, b in zip(infos, infos[1:]))
 
 
+def test_sweep_zero_cutoff_bytes(capsys):
+    assert main(["sweep", "--n-max", "0"]) == 0
+    assert capsys.readouterr().out == "N,information_nats,converged\n0,0,true\n"
+
+
 def test_sweep_unconverged_exit_code(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
@@ -403,6 +422,15 @@ def test_bounds_fock_leaves_asymptote_empty(write_state, tmp_path):
     assert row.endswith(",")
 
 
+def test_bounds_vacuum_bytes(write_state, capsys):
+    # Zero Fisher information leaves the asymptote cell empty.
+    path = write_state(pi.fock_state(0, 2), "vacuum.json")
+    assert main(["bounds", "--state", path, "--modes", "1,4", "--trials", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "M,mc_information,mc_stderr,chain_bound,asymptote\n1,0,0,0,\n4,0,0,0,\n"
+    )
+
+
 def test_bounds_deterministic_bytes(n1_state, write_state, tmp_path):
     path = write_state(n1_state)
     a = tmp_path / "a.csv"
@@ -463,6 +491,21 @@ def test_unknown_command_and_flags(capsys):
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     assert "phaseinfo" in capsys.readouterr().out
+
+
+def test_every_subcommand_takes_grid_and_out():
+    parser = cli.build_parser()
+    for command, required in (
+        ("info", ["--state", "s.json"]),
+        ("optimize", ["--max-photon", "1"]),
+        ("sweep", ["--n-max", "1"]),
+        ("simulate", ["--state", "s.json", "--true-phase", "0", "--shots", "1"]),
+        ("bounds", ["--state", "s.json"]),
+    ):
+        args = parser.parse_args([command] + required)
+        assert (args.grid, args.out) == (4096, None)
+        args = parser.parse_args([command] + required + ["--grid", "64", "--out", "r.txt"])
+        assert (args.grid, args.out) == (64, "r.txt")
 
 
 def test_one_parser_serves_every_call(n1_state, write_state, capsys):

@@ -95,6 +95,13 @@ def test_sampling_rejects_non_finite_true_phase(n1_state):
             pi.sample_outcomes(n1_state, bad, 4, 1)
 
 
+def test_tiny_negative_true_phase_wraps_below_two_pi(n1_state):
+    # np.mod(-1e-20, 2 pi) rounds up to exactly 2 pi.
+    for phase in (-1e-20, -5e-324, -0.0):
+        assert pi.sample_outcomes(n1_state, phase, 3, 1).true_phase == 0.0
+        assert pi.MeasurementRecord(phase, [0.5], 0).true_phase == 0.0
+
+
 def test_fock_outcomes_uniform():
     # flat density: draws must pass a KS test against the uniform law
     n = 100_000
