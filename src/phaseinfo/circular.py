@@ -69,7 +69,9 @@ _MASS_FLOOR = 1e-300
 _FISHER_FLOOR = 1e-14
 
 # Outcomes whose likelihood rows are transformed in one batched FFT; 16 rows
-# of a 4096-node grid keep the complex scratch space near 1 MB.
+# of a 4096-node grid keep the complex scratch space near 1 MB.  One real
+# rows buffer of this many rows serves every chunk of a posterior, so the
+# chunks fault no fresh pages in.
 _OUTCOME_CHUNK = 16
 
 
@@ -285,9 +287,9 @@ def _log_posterior(logs, state, outcomes):
     """Posterior from log prior values ``logs``, left unchanged, and outcomes.
 
     The likelihoods come from the FFT kernel, one batched transform per chunk
-    of ``_OUTCOME_CHUNK`` outcomes; their logs are added in outcome order and
-    the sum is normalized once, so hundreds of sharp updates cannot
-    underflow.  The result adopts the fresh arrays built here.  Raises
+    of ``_OUTCOME_CHUNK`` outcomes into one rows buffer for the whole call;
+    their logs are added in outcome order and the sum is normalized once,
+    so hundreds of sharp updates cannot underflow.  The result adopts the fresh arrays built here.  Raises
     ConfigurationError at the first non-finite outcome, before any
     transform, and DegeneratePosteriorError at the first outcome that leaves
     no mass at any node.
@@ -295,9 +297,10 @@ def _log_posterior(logs, state, outcomes):
     if not np.isfinite(outcomes).all():
         bad = np.flatnonzero(~np.isfinite(outcomes))[0]
         raise ConfigurationError("outcome index %d is not finite: %s" % (bad, outcomes[bad]))
+    rows = np.empty((min(outcomes.size, _OUTCOME_CHUNK), logs.size))
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
-        loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size)
+        loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size, out=rows[: chunk.size])
         with np.errstate(divide="ignore"):
             np.log(loglikes, out=loglikes)
         for j, loglike in enumerate(loglikes, start):

@@ -7,6 +7,7 @@ when an optimization completed and produced output but did not converge.
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -22,6 +23,17 @@ from .states import load_state, state_to_dict
 __all__ = ["main", "entry"]
 
 _LOG2 = float(np.log(2.0))
+
+
+def _require_out(out_path):
+    # Refuse an --out that cannot be opened before any work is done.
+    if out_path is None:
+        return
+    if not out_path or os.path.isdir(out_path):
+        raise PhaseinfoError("--out %r is not a file path" % out_path)
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise PhaseinfoError("--out parent %r is not an existing directory" % parent)
 
 
 def _emit(text, out_path):
@@ -188,6 +200,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _require_out(args.out)
         return args.run(args)
     except (PhaseinfoError, OSError, MemoryError) as exc:
         # numpy may refuse an impossible allocation with an empty MemoryError.

@@ -400,20 +400,22 @@ def phase_amplitude_grid(state, grid_size):
     return np.fft.ifft(state.amplitudes, n=grid_size, norm="forward")
 
 
-def _likelihood_rows(amplitudes, offsets, grid_size):
+def _likelihood_rows(amplitudes, offsets, grid_size, out=None):
     """Canonical likelihood on the grid phi_k = 2 pi k / G, one row per offset.
 
     Row j is |f(x_j - phi_k)|^2 / (2 pi) with f(phi) = sum_n c_n e^{i n phi},
     the length-G DFT of c_n e^{i n x_j}: the posterior's view of outcome
     x_j.  The sampler passes the conjugated amplitudes, which turns row j
     into |f(phi_k - x_j)|^2 / (2 pi), its outcome table at true phase x_j.
-    Offsets are reduced mod 2 pi first; the result is a fresh array of shape
-    (len(offsets), G) that the caller may overwrite.
+    Offsets are reduced mod 2 pi first.  The rows are written into ``out``,
+    a float64 array of shape (len(offsets), G), and ``out`` is returned;
+    without it they go into a fresh array.  Either way the caller may
+    overwrite them, and the bytes are the same.
     """
     _require_grid_room(grid_size, amplitudes.size)
     x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
     phase = np.multiply.outer(x, np.arange(amplitudes.size))
-    rows = np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size))
+    rows = np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size), out=out)
     return np.divide(np.square(rows, out=rows), TWO_PI, out=rows)
 
 

@@ -463,6 +463,25 @@ def test_bounds_checks_every_mode_before_any_report(n1_state, write_state, monke
         assert err.count("error:") == 1 and message in err
 
 
+def test_bad_out_path_is_refused_before_any_work(n1_state, write_state, monkeypatch, tmp_path, capsys):
+    # A missing directory, a directory and an empty path exit 2 at once,
+    # with one error line and no file written.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "bound_report", no_work)
+    monkeypatch.setattr(cli, "bound_sweep", no_work)
+    path = write_state(n1_state)
+    for out in (str(tmp_path / "missing" / "x"), str(tmp_path), ""):
+        for args in (["bounds", "--state", path], ["sweep", "--n-max", "12"]):
+            assert main(args + ["--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: --out ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
 def test_negative_seed_exits_2(n1_state, write_state, capsys):
     # -1 used to escape from SeedSequence as an uncaught ValueError
     path = write_state(n1_state)

@@ -163,6 +163,19 @@ def test_likelihood_rows_near_density_zeros():
             assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
 
 
+def test_likelihood_rows_write_into_out_with_the_same_bytes():
+    # A full 16-row buffer and a partial 5-row view of it: the rows land in
+    # the buffer, which is returned, with the bytes of a fresh evaluation.
+    s = pi.random_state(32, 2)
+    x = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 16)
+    for grid_size in (64, 4096):
+        buf = np.empty((16, grid_size))
+        for k in (16, 5):
+            view = buf[:k]
+            assert _likelihood_rows(s.amplitudes, x[:k], grid_size, out=view) is view
+            assert view.tobytes() == _likelihood_rows(s.amplitudes, x[:k], grid_size).tobytes()
+
+
 def test_grid_likelihood_refuses_states_wider_than_the_grid():
     # a length-64 FFT cannot hold 101 amplitudes without aliasing
     s = pi.random_state(100, 0)
