@@ -289,28 +289,39 @@ def _log_posterior(logs, state, outcomes):
     The likelihoods come from the FFT kernel, one batched transform per chunk
     of ``_OUTCOME_CHUNK`` outcomes into one rows buffer for the whole call;
     their logs are added in outcome order and the sum is normalized once,
-    so hundreds of sharp updates cannot underflow.  The result adopts the fresh arrays built here.  Raises
-    ConfigurationError at the first non-finite outcome, before any
-    transform, and DegeneratePosteriorError at the first outcome that leaves
-    no mass at any node.
+    so hundreds of sharp updates cannot underflow.  The result adopts the
+    fresh arrays built here.  Raises ConfigurationError at the first
+    non-finite outcome, before any transform, and DegeneratePosteriorError
+    at the first outcome that leaves no mass at any node.  That is checked
+    once per chunk: a node dies at its first -inf row, and the last node to
+    die names the outcome.
     """
     if not np.isfinite(outcomes).all():
         bad = np.flatnonzero(~np.isfinite(outcomes))[0]
         raise ConfigurationError("outcome index %d is not finite: %s" % (bad, outcomes[bad]))
     rows = np.empty((min(outcomes.size, _OUTCOME_CHUNK), logs.size))
+    spare = None
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
         loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size, out=rows[: chunk.size])
         with np.errstate(divide="ignore"):
             np.log(loglikes, out=loglikes)
-        for j, loglike in enumerate(loglikes, start):
-            logs = np.add(logs, loglike, out=logs if j else None)
-            peak = logs.max()
-            if not np.isfinite(peak):
-                raise DegeneratePosteriorError(
-                    "posterior mass vanished at every grid node after outcome "
-                    "index %d (value %.17g)" % (j, float(outcomes[j]))
-                )
+        # The chunk's first add keeps the logs from before it for the check
+        # below.  It writes a fresh array for the first two chunks, then the
+        # array of two chunks back; the caller's logs are never written.
+        before, logs = logs, np.add(logs, loglikes[0], out=spare)
+        for loglike in loglikes[1:]:
+            np.add(logs, loglike, out=logs)
+        peak = logs.max()
+        if not np.isfinite(peak):
+            dead = np.where(np.isneginf(before), -1, np.isneginf(loglikes).argmax(axis=0))
+            j = start + int(dead.max())
+            raise DegeneratePosteriorError(
+                "posterior mass vanished at every grid node after outcome "
+                "index %d (value %.17g)" % (j, float(outcomes[j]))
+            )
+        if start:
+            spare = before
     logs = logs - (peak if outcomes.size else logs.max())
     w = np.exp(logs)
     total = float(w.sum()) * TWO_PI / w.size

@@ -9,6 +9,7 @@ one component, norm within ``NORM_TOL`` of one.
 
 import atexit
 import contextlib
+import itertools
 import numbers
 import os
 import pickle
@@ -69,76 +70,133 @@ def _require_count(value, name):
 
 # Forked workers, each (pid, task pipe, result pipe), kept between calls.
 _pool = []
+# The claim queue, [read end, write end] of one pipe.  It is made before the
+# first worker is forked and closed with the pool, so every worker reads it.
+_queue = []
 # Held by the call that is using the pool.  A nested or concurrent call
 # finds it taken and runs the plain loop, and so does every worker: workers
 # are forked by a call that holds it, and a fork copies it held.
 _pool_lock = threading.Lock()
 
+# A call cuts the items after the first into at most _RUNS contiguous runs,
+# one 4-byte token each, and adds one _END token per process.  At most _RUNS
+# processes take part, so the tokens fill at most 4096 bytes, Linux's
+# PIPE_BUF: one write puts them in the empty pipe at once, without blocking,
+# and each 4-byte read of a pipe takes one token from it.
+_RUNS = 512
+_END = b"\xff" * 4
+
 
 def _fan_out(fn, items):
     """``[fn(x) for x in items]``, run on every CPU this process may use.
 
-    ``items`` is cut into W = min(allowed CPUs, len(items)) contiguous
-    shares.  This process runs the first and W - 1 workers the others.
-    Workers are forked at the first call that needs them and then reused.
-    Each job and each reply crosses a pipe as one pickle, which marks its
-    own end, so ``fn`` must pickle (a module-level function, or a
-    ``functools.partial`` of one) and so must its results.  A worker runs
-    the modules as they were when it was forked; monkeypatches made after
-    that do not reach it.  Results come back in item order, so the output
-    is the plain loop's for any CPU count as long as ``fn`` depends on its
-    item alone.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
-    with one CPU, inside a worker and inside a call that is already fanning
-    out, the plain loop runs here.
+    W = min(allowed CPUs, len(items), 512) processes take part: this one
+    and W - 1 workers, each sent the same pickled ``(fn, items)``.  This
+    process runs item 0.  The rest are cut into at most 512 contiguous
+    runs, one token each in a shared queue, and every process claims runs
+    one token at a time until it reads its end token, so a faster CPU runs
+    more of them.  Workers are forked at the first call that needs them and
+    then reused.  Each job and each reply crosses a pipe as one pickle,
+    which marks its own end, so ``fn`` must pickle (a module-level
+    function, or a ``functools.partial`` of one) and so must its results.
+    A worker runs the modules as they were when it was forked;
+    monkeypatches made after that do not reach it.  Every result returns
+    to its item's place, so the output is the plain loop's for any CPU
+    count and any schedule as long as ``fn`` depends on its item alone.
+    Where ``os.fork`` or ``os.sched_getaffinity`` is missing, with one CPU,
+    inside a worker and inside a call that is already fanning out, the
+    plain loop runs here.
 
-    The first exception in item order is re-raised with its type and
-    message.  One raised in a worker leaves the pool in step and alive.
-    A call that ends on an exception raised here (an unpicklable ``fn``
-    among them), on an interrupt or on a worker without a result, or that
-    finds a worker dead when it starts, kills and reaps every worker; the
-    next call forks new ones.  Workers exit with this interpreter (atexit),
-    or at end of file on their task pipe if it dies.
+    An ``Exception`` from an item stops the process that ran it from
+    running more, but not from claiming the runs left to it.  Once every
+    reply is in, the failure at the lowest index is re-raised with its type
+    and message, and the pool stays in step and alive.  So it does when a
+    worker cannot load the job; that error is raised before any item's.
+    A call that ends on any other exception raised here (an unpicklable
+    ``fn`` among them), on an interrupt or on a worker without a result,
+    or that finds a worker dead when it starts, kills and reaps every
+    worker and closes the queue; the next call makes new ones.  Workers
+    exit with this interpreter (atexit), or at end of file on their task
+    pipe if it dies.
     """
     items = list(items)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(items))
+        workers = min(len(os.sched_getaffinity(0)), len(items), _RUNS)
     if workers < 2 or not _pool_lock.acquire(blocking=False):
         return [fn(x) for x in items]
-    cuts = [len(items) * w // workers for w in range(workers + 1)]
-    failure = None
     try:
-        jobs = [pickle.dumps((fn, items[cuts[w] : cuts[w + 1]])) for w in range(1, workers)]
+        job = pickle.dumps(pickle.dumps((fn, items)))
         if any(_exited(pid) for pid, _, _ in _pool):
             _close_pool()
+        if not _queue:
+            _queue.extend(os.pipe())
         while len(_pool) < workers - 1:
             _pool.append(_fork_worker())
         pool = _pool[: workers - 1]
-        for (_, tasks, _), job in zip(pool, jobs):
-            pickle.dump(job, tasks)
+        runs = min(len(items) - 1, _RUNS)
+        os.write(_queue[1], np.arange(runs, dtype="<u4").tobytes() + _END * workers)
+        for _, tasks, _ in pool:
+            tasks.write(job)
             tasks.flush()
-        results = [fn(x) for x in items[: cuts[1]]]
+        claimed = (_items_of(run, len(items)) for run in _claims(_queue[0]))
+        replies = [_run_claimed(fn, items, itertools.chain([range(1)], claimed))]
         for worker in pool:
             try:
-                ok, value = pickle.load(worker[2])
+                replies.append(pickle.load(worker[2]))
             except (EOFError, pickle.UnpicklingError):
                 _pool.remove(worker)
                 raise ChildProcessError(
                     "worker process %d ended without a result (wait status %d)"
                     % (worker[0], _reap(worker))
                 ) from None
-            if ok:
-                results.extend(value)
-            elif failure is None:
-                failure = value
     except BaseException:
         _close_pool()
         raise
     finally:
         _pool_lock.release()
-    if failure is not None:
-        raise failure
+    failures = [failure for _, failure in replies if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for pairs, _ in replies:
+        for i, value in pairs:
+            results[i] = value
     return results
+
+
+def _claims(queue):
+    """Run numbers this process claims from the queue, up to its end token."""
+    while (token := os.read(queue, 4)) != _END:
+        if len(token) != 4:
+            raise EOFError("the claim queue was closed")
+        yield int.from_bytes(token, "little")
+
+
+def _items_of(run, count):
+    """Indices of run ``run`` of a call's ``count`` items; item 0 is in none."""
+    runs = min(count - 1, _RUNS)
+    return range(1 + (count - 1) * run // runs, 1 + (count - 1) * (run + 1) // runs)
+
+
+def _run_claimed(fn, items, runs):
+    """``(index, fn(items[index]))`` pairs over runs of indices, and the first failure.
+
+    The failure is ``(index, exception)`` for the first ``Exception``, or
+    None; after it the remaining runs are still claimed but not run.
+    """
+    pairs = []
+    failure = None
+    for run in runs:
+        if failure is not None:
+            continue
+        for i in run:
+            try:
+                pairs.append((i, fn(items[i])))
+            except Exception as exc:
+                failure = (i, exc)
+                break
+    return pairs, failure
 
 
 def _exited(pid):
@@ -154,17 +212,22 @@ def _fork_worker():
 
     The worker ignores SIGINT, so that a Ctrl-C ends it only through its
     parent, and loads jobs until end of file on its task pipe.  A job is
-    the pickled ``(fn, share)`` pickled once more, so that one the worker
-    cannot load still leaves the pipe in step.  It answers ``(True,
-    results)``, or ``(False, exception)`` for the parent to raise, and
-    exits when the answer cannot be pickled or the parent has gone.
+    the pickled ``(fn, items)`` pickled once more, so that one the worker
+    cannot load still leaves the pipe in step.  For each job it claims runs
+    from the queue until its end token and answers with the pairs and the
+    failure of ``_run_claimed``.  It still claims the runs of a job it
+    cannot load, runs none, and answers that failure at index -1.  It exits
+    when the answer cannot be pickled, on any error that is not an
+    ``Exception``, or when the parent has gone.
     """
     task_read, task_write = os.pipe()
     reply_read, reply_write = os.pipe()
+    # The child's copy of _queue is closed by _forget_pool; it reads this one.
+    queue = os.dup(_queue[0])
     try:
         pid = os.fork()
     except OSError:
-        for fd in (task_read, task_write, reply_read, reply_write):
+        for fd in (task_read, task_write, reply_read, reply_write, queue):
             os.close(fd)
         raise
     if pid == 0:
@@ -177,17 +240,22 @@ def _fork_worker():
                     # End of file raises EOFError here, which ends the worker.
                     job = pickle.load(tasks)
                     try:
-                        fn, share = pickle.loads(job)
-                        payload = (True, [fn(x) for x in share])
-                    except BaseException as exc:
-                        payload = (False, exc)
-                    replies.write(pickle.dumps(payload))
+                        fn, items = pickle.loads(job)
+                    except Exception as exc:
+                        for _ in _claims(queue):
+                            pass
+                        reply = ([], (-1, exc))
+                    else:
+                        claimed = (_items_of(run, len(items)) for run in _claims(queue))
+                        reply = _run_claimed(fn, items, claimed)
+                    replies.write(pickle.dumps(reply))
                     replies.flush()
         finally:
             # Never return into the caller's frames.
             os._exit(0)
     os.close(task_read)
     os.close(reply_write)
+    os.close(queue)
     return pid, os.fdopen(task_write, "wb"), os.fdopen(reply_read, "rb")
 
 
@@ -209,17 +277,25 @@ def _reap(worker):
         return -1
 
 
+def _close_queue():
+    while _queue:
+        with contextlib.suppress(OSError):
+            os.close(_queue.pop())
+
+
 def _close_pool():
-    """Kill and reap every worker; the next call that fans out forks new ones."""
+    """Kill and reap every worker and close the queue; the next call makes new ones."""
     while _pool:
         _reap(_pool.pop())
+    _close_queue()
 
 
 def _forget_pool():
-    """In a child forked from the pool's owner, close its copies of the pipes."""
+    """In a child forked from the pool's owner, close its copies of the pipes and queue."""
     for _, tasks, replies in _pool:
         _close_pipes(tasks, replies)
     _pool.clear()
+    _close_queue()
 
 
 atexit.register(_close_pool)

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -328,6 +329,59 @@ def test_degenerate_posterior_raises():
     log_prior = pi.CircularDensity(vals, log_values=logs)
     with pytest.raises(DegeneratePosteriorError, match="outcome"):
         pi.posterior_update(log_prior, dead, 0.0)
+
+
+def _first_vanishing(c, logs, outcomes, g):
+    # The message of a row-by-row accumulation that checks the peak after
+    # each outcome, or None if the mass never vanishes.
+    logs = logs.copy()
+    n = np.arange(c.size)
+    with np.errstate(divide="ignore"):
+        for j, x in enumerate(outcomes):
+            logs += np.log(np.abs(np.fft.fft(c * np.exp(1j * x * n), n=g)) ** 2 / (2 * np.pi))
+            if not np.isfinite(logs.max()):
+                return (
+                    "posterior mass vanished at every grid node after outcome "
+                    "index %d (value %.17g)" % (j, x)
+                )
+    return None
+
+
+def test_degenerate_posterior_names_the_outcome_of_the_row_by_row_check():
+    # Amplitudes of 1e-161 (the posterior reads nothing else of a state) make
+    # the likelihood underflow to exactly zero on a band of about 9 nodes
+    # around x + pi.  The prior lives on nodes 40 and 41, and on node 10 when
+    # ``early`` kills it first: kill_a empties node 10 alone, kill_b nodes 40
+    # and 41, and the fillers only nodes that are already dead.  The check
+    # runs once per 16-outcome chunk, so the last deaths sit around its edges.
+    g = 64
+    tiny = types.SimpleNamespace(amplitudes=np.array([1e-161, 1e-161], dtype=complex))
+    kill_a, kill_b = 10 * 2 * np.pi / g + np.pi, 40.5 * 2 * np.pi / g - np.pi
+    fillers = (25 * 2 * np.pi / g - np.pi + 2 * np.pi, 55 * 2 * np.pi / g - np.pi)
+    for last, early in ((0, None), (15, 3), (16, 2), (17, 16), (31, 5), (40, 20)):
+        outcomes = np.array([fillers[j % 2] for j in range(48)])
+        logs = np.full(g, -np.inf)
+        logs[[40, 41]] = np.log([0.2, 0.3])
+        if early is not None:
+            logs[10] = np.log(0.1)
+            outcomes[early] = kill_a
+        outcomes[last] = kill_b
+        # Node 10, dead already, gets a zero row again after the last death.
+        outcomes[last + 1] = kill_a
+        expected = _first_vanishing(tiny.amplitudes, logs, outcomes, g)
+        assert "index %d " % last in expected
+        before = logs.copy()
+        with pytest.raises(DegeneratePosteriorError) as raised:
+            circular._log_posterior(logs, tiny, outcomes)
+        assert str(raised.value) == expected
+        assert logs.tobytes() == before.tobytes()
+        # Without the last death the posterior keeps the reference's bytes.
+        outcomes[last] = fillers[0]
+        assert _first_vanishing(tiny.amplitudes, logs, outcomes, g) is None
+        values, ref_logs = _reference_posterior(tiny.amplitudes, logs, outcomes, g)
+        posterior = circular._log_posterior(logs, tiny, outcomes)
+        assert posterior.values.tobytes() == values.tobytes()
+        assert posterior.log_values.tobytes() == ref_logs.tobytes()
 
 
 def test_posterior_refuses_non_finite_outcomes():

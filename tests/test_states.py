@@ -294,6 +294,17 @@ def _worker_pids():
     return [pid for pid, _, _ in states._pool]
 
 
+def _assert_queue_empty():
+    # A non-blocking read finds no claim token left over in the queue.
+    queue = states._queue[0]
+    os.set_blocking(queue, False)
+    try:
+        with pytest.raises(BlockingIOError):
+            os.read(queue, 4)
+    finally:
+        os.set_blocking(queue, True)
+
+
 def _square(x):
     return x * x
 
@@ -305,6 +316,9 @@ def _fail_at(bad, x):
 
 
 def _unpicklable_result(x):
+    if x == 0:
+        # This process runs item 0; a worker claims item 1 meanwhile.
+        time.sleep(0.3)
     return lambda: x
 
 
@@ -322,8 +336,15 @@ def _pid(x):
     return os.getpid()
 
 
+def _pid_after_a_wait_at_item_0(x):
+    if x == 0:
+        # This process runs item 0; a worker claims the others meanwhile.
+        time.sleep(0.3)
+    return os.getpid()
+
+
 def _pid_and_nested_pids(x):
-    return os.getpid(), states._fan_out(_pid, range(4))
+    return _pid_after_a_wait_at_item_0(x), states._fan_out(_pid, range(4))
 
 
 def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
@@ -350,6 +371,7 @@ def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
     assert len(pids) >= 2
     assert run() == default
     assert _worker_pids() == pids
+    _assert_queue_empty()
     states._close_pool()
     _assert_no_child_left()
 
@@ -358,6 +380,7 @@ def test_fan_out_keeps_item_order(monkeypatch):
     _cpus(monkeypatch, 3)
     assert states._fan_out(_square, range(10)) == [x * x for x in range(10)]
     pids = _worker_pids()
+    _assert_queue_empty()
     assert states._fan_out(_square, range(7)) == [x * x for x in range(7)]
     assert states._fan_out(_square, []) == []
     assert _worker_pids() == pids
@@ -381,18 +404,19 @@ def test_fan_out_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
 
 
 def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
-    # Two workers: this process runs items 0-2, a worker 3-5.
+    # Two processes claim items 1-5 in any order; whichever runs a failing
+    # item, the lowest one is raised and the pool stays in step and alive.
     _cpus(monkeypatch, 2)
-    for bad, first in (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2")):
+    cases = (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2"), ((0, 5), "item 0"))
+    for bad, first in cases:
         states._fan_out(_square, range(2))
         pids = _worker_pids()
         with pytest.raises(DegeneratePosteriorError, match=first):
             states._fan_out(functools.partial(_fail_at, bad), range(6))
-        if min(bad) >= 3:
-            # Raised in the worker alone: the pool stays in step and alive.
-            assert _worker_pids() == pids
-            assert states._fan_out(_square, range(6)) == [x * x for x in range(6)]
-            states._close_pool()
+        assert _worker_pids() == pids
+        _assert_queue_empty()
+        assert states._fan_out(_square, range(6)) == [x * x for x in range(6)]
+        states._close_pool()
         _assert_no_child_left()
 
 
@@ -414,7 +438,7 @@ def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
 
 
 def test_fan_out_inside_a_child_runs_serially(monkeypatch):
-    # So does a call made by this process's own share while the pool works.
+    # So does a call made by this process's own item while the pool works.
     _cpus(monkeypatch, 2)
     runs = states._fan_out(_pid_and_nested_pids, range(4))
     assert any(pid != os.getpid() for pid, _ in runs)
@@ -423,6 +447,29 @@ def test_fan_out_inside_a_child_runs_serially(monkeypatch):
     pids = _worker_pids()
     assert states._fan_out(_pid_and_nested_pids, range(4)) == runs
     assert _worker_pids() == pids
+    states._close_pool()
+    _assert_no_child_left()
+
+
+def test_fan_out_moves_work_to_the_idle_process(monkeypatch):
+    # While this process sleeps in item 0, the worker claims every other run.
+    _cpus(monkeypatch, 2)
+    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    (worker,) = _worker_pids()
+    runs = states._fan_out(_pid_after_a_wait_at_item_0, range(8))
+    assert runs == [os.getpid()] + [worker] * 7
+    _assert_queue_empty()
+    states._close_pool()
+    _assert_no_child_left()
+
+
+def test_fan_out_cuts_many_items_into_capped_runs(monkeypatch):
+    # Past 512 tokens, several items share a run; the bytes of the plain
+    # loop, and no token left over.
+    for count in (2, 3):
+        _cpus(monkeypatch, count)
+        assert states._fan_out(_square, range(5000)) == [x * x for x in range(5000)]
+        _assert_queue_empty()
     states._close_pool()
     _assert_no_child_left()
 
@@ -453,6 +500,7 @@ def test_fan_out_raises_a_job_a_worker_cannot_load(monkeypatch):
     with pytest.raises(AttributeError, match="_late"):
         states._fan_out(late, range(4))
     assert _worker_pids() == pids
+    _assert_queue_empty()
     assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
     states._close_pool()
     _assert_no_child_left()
