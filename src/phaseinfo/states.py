@@ -110,8 +110,8 @@ def _fan_out(fn, items):
     An ``Exception`` from an item stops the process that ran it from
     running more, but not from claiming the runs left to it.  Once every
     reply is in, the failure at the lowest index is re-raised with its type
-    and message, and the pool stays in step and alive.  So it does when a
-    worker cannot load the job; that error is raised before any item's.
+    and message, and the pool stays in step and alive.  So it does after a
+    job that a worker cannot load; that error is raised before any item's.
     A call that ends on any other exception raised here (an unpicklable
     ``fn`` among them), on an interrupt or on a worker without a result,
     or that finds a worker dead when it starts, kills and reaps every

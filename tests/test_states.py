@@ -464,12 +464,14 @@ def test_fan_out_moves_work_to_the_idle_process(monkeypatch):
 
 
 def test_fan_out_cuts_many_items_into_capped_runs(monkeypatch):
-    # Past 512 tokens, several items share a run; the bytes of the plain
-    # loop, and no token left over.
-    for count in (2, 3):
+    # Past 513 items, several items share a run of the 512 tokens.  With
+    # more processes than cores too, a token lost or misread would show as
+    # a wrong result or a token left over.
+    for count in (2, 6):
         _cpus(monkeypatch, count)
-        assert states._fan_out(_square, range(5000)) == [x * x for x in range(5000)]
-        _assert_queue_empty()
+        for size in (513, 514, 5000):
+            assert states._fan_out(_square, range(size)) == [x * x for x in range(size)]
+            _assert_queue_empty()
     states._close_pool()
     _assert_no_child_left()
 
