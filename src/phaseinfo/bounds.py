@@ -117,10 +117,9 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     outcomes, forms the exact posterior on the grid (in log space), and
     records log(2 pi) minus the posterior entropy, clamped at zero against
     rounding.  Trial t consumes the t-th spawned substream of ``seed``, so
-    the estimate is deterministic and independent of trial ordering.  On
-    Linux this process and workers forked at the first such call, one per
-    further CPU it may use, claim the trials from a shared queue; the
-    result is the same bytes for any CPU count and any schedule.
+    the estimate is deterministic and independent of trial ordering.  The
+    trials run on every CPU the process may use; the result is the same
+    bytes for any CPU count and any schedule.
 
     Returns
     -------

@@ -138,14 +138,12 @@ class CircularDensity:
         vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidDensityError("density values must form a non-empty 1-d array")
-        total = vals.sum()
-        # Diagnose only on failure; finite values whose sum overflows fail below.
-        if not (np.isfinite(total) and vals.min() >= 0.0):
-            if not np.all(np.isfinite(vals)):
-                raise InvalidDensityError("density values must be finite")
-            if np.any(vals < 0.0):
-                raise InvalidDensityError("density values must be nonnegative")
-        total = float(total) * TWO_PI / vals.size
+        if not np.all(np.isfinite(vals)):
+            raise InvalidDensityError("density values must be finite")
+        if vals.min() < 0.0:
+            raise InvalidDensityError("density values must be nonnegative")
+        # Finite values whose sum overflows fail below.
+        total = float(vals.sum()) * TWO_PI / vals.size
         if abs(total - 1.0) > 1e-9:
             raise InvalidDensityError(
                 "density integrates to %.17g, expected 1 within 1e-9" % total
@@ -293,35 +291,30 @@ def _log_posterior(logs, state, outcomes):
     fresh arrays built here.  Raises ConfigurationError at the first
     non-finite outcome, before any transform, and DegeneratePosteriorError
     at the first outcome that leaves no mass at any node.  That is checked
-    once per chunk: a node dies at its first -inf row, and the last node to
-    die names the outcome.
+    once per chunk: a node dies at its first -inf row, or at the chunk's first
+    outcome if it was dead before the chunk, and the last node to die names
+    the outcome.
     """
     if not np.isfinite(outcomes).all():
         bad = np.flatnonzero(~np.isfinite(outcomes))[0]
         raise ConfigurationError("outcome index %d is not finite: %s" % (bad, outcomes[bad]))
     rows = np.empty((min(outcomes.size, _OUTCOME_CHUNK), logs.size))
-    spare = None
     for start in range(0, outcomes.size, _OUTCOME_CHUNK):
         chunk = outcomes[start : start + _OUTCOME_CHUNK]
         loglikes = _likelihood_rows(state.amplitudes, chunk, logs.size, out=rows[: chunk.size])
         with np.errstate(divide="ignore"):
             np.log(loglikes, out=loglikes)
-        # The chunk's first add keeps the logs from before it for the check
-        # below.  It writes a fresh array for the first two chunks, then the
-        # array of two chunks back; the caller's logs are never written.
-        before, logs = logs, np.add(logs, loglikes[0], out=spare)
+        before, logs = logs, logs + loglikes[0]
         for loglike in loglikes[1:]:
             np.add(logs, loglike, out=logs)
         peak = logs.max()
         if not np.isfinite(peak):
-            dead = np.where(np.isneginf(before), -1, np.isneginf(loglikes).argmax(axis=0))
+            dead = np.where(np.isneginf(before), 0, np.isneginf(loglikes).argmax(axis=0))
             j = start + int(dead.max())
             raise DegeneratePosteriorError(
                 "posterior mass vanished at every grid node after outcome "
                 "index %d (value %.17g)" % (j, float(outcomes[j]))
             )
-        if start:
-            spare = before
     logs = logs - (peak if outcomes.size else logs.max())
     w = np.exp(logs)
     total = float(w.sum()) * TWO_PI / w.size
@@ -401,9 +394,8 @@ def fisher_information(state, grid_size=4096):
     fprime = np.fft.ifft(1j * n * state.amplitudes, n=g, norm="forward")
     p = np.abs(fvals) ** 2 / TWO_PI
     pprime = 2.0 * np.real(np.conj(fvals) * fprime) / TWO_PI
-    limit_form = 4.0 * np.abs(fprime) ** 2 / TWO_PI
-    safe = np.where(p > _FISHER_FLOOR, p, 1.0)
-    integrand = np.where(p > _FISHER_FLOOR, pprime**2 / safe, limit_form)
+    integrand = 4.0 * np.abs(fprime) ** 2 / TWO_PI
+    np.divide(pprime**2, p, out=integrand, where=p > _FISHER_FLOOR)
     return float(integrand.sum()) * TWO_PI / g
 
 

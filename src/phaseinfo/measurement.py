@@ -85,9 +85,9 @@ def _draw_outcomes(state, true_phase, count, rng, grid_size):
     cdf /= cdf[-1]
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.clip(idx, 0, g - 1)
-    cell_mass = cdf[idx + 1] - cdf[idx]
-    frac = np.where(cell_mass > 0.0, (u - cdf[idx]) / np.where(cell_mass > 0.0, cell_mass, 1.0), 0.0)
+    # cdf rises from exactly 0 to exactly 1 and u lies in [0, 1), so
+    # cdf[idx] <= u < cdf[idx + 1]: idx is a cell and its mass is positive.
+    frac = (u - cdf[idx]) / (cdf[idx + 1] - cdf[idx])
     return np.mod(TWO_PI * idx / g + frac * (TWO_PI / g), TWO_PI)
 
 

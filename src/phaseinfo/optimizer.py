@@ -223,9 +223,7 @@ def optimize_state(config):
     """Search for the maximum-information state at the configured cutoff.
 
     Runs ``config.starts`` independent ascents from seeded random states and
-    returns the best.  On Linux this process and workers forked at the
-    first such call, one per further CPU it may use, claim the starts one at
-    a time from a shared queue, so a faster CPU runs more of them; the
+    returns the best.  The starts run on every CPU the process may use; the
     result is the same bytes for any CPU count and any schedule, and
     deterministic for a fixed config.
 

@@ -81,8 +81,9 @@ def test_density_validation():
 
 
 def test_density_error_matrix():
-    # Each bad input raises the error and message it raised before the
-    # validation was cut to one sum, one min and one max.
+    # Each bad input raises its own error and message, and no warning: the
+    # finiteness check comes before any sum, so +inf beside -inf cannot
+    # reduce to NaN first.
     g = 64
     flat = np.full(g, 1.0 / (2 * np.pi))
     logs = np.full(g, -LN2PI)
@@ -96,6 +97,9 @@ def test_density_error_matrix():
         vals = flat.copy()
         vals[5] = bad
         cases.append((vals, None, message))
+    both = flat.copy()
+    both[[5, 9]] = np.inf, -np.inf
+    cases.append((both, None, "density values must be finite"))
     # finite values whose sum overflows
     cases.append((np.full(g, 1e307), None, "density integrates to inf, expected 1 within 1e-9"))
     for bad in (np.nan, np.inf):
@@ -382,6 +386,19 @@ def test_degenerate_posterior_names_the_outcome_of_the_row_by_row_check():
         posterior = circular._log_posterior(logs, tiny, outcomes)
         assert posterior.values.tobytes() == values.tobytes()
         assert posterior.log_values.tobytes() == ref_logs.tobytes()
+    # A prior whose logs are all -inf, which the constructor accepts, is
+    # emptied by outcome 0, in one update and in a 20-outcome sequence.
+    dead_prior = pi.CircularDensity(np.full(g, 1.0 / (2 * np.pi)), np.full(g, -np.inf))
+    outcomes = np.array([fillers[j % 2] for j in range(20)])
+    for run, outcome_list in (
+        (lambda: pi.posterior_update(dead_prior, tiny, 0.5), [0.5]),
+        (lambda: circular._log_posterior(dead_prior.log_values, tiny, outcomes), outcomes),
+    ):
+        expected = _first_vanishing(tiny.amplitudes, dead_prior.log_values, outcome_list, g)
+        assert "index 0 " in expected
+        with pytest.raises(DegeneratePosteriorError) as raised:
+            run()
+        assert str(raised.value) == expected
 
 
 def test_posterior_refuses_non_finite_outcomes():
@@ -521,9 +538,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 )
 def test_posteriors_fault_in_no_fresh_pages():
     # Ten warm 64-outcome posteriors reuse one rows buffer each, and glibc
-    # keeps each chunk's spectrum in its heap.  With fresh rows per chunk the
-    # probe counted about 9,500 minor faults, with one buffer per posterior
-    # about 130 (x86_64, glibc, Python 3.11, numpy 2.4).
+    # reuses the freed heap blocks of each chunk's spectrum and fresh log
+    # array.  With fresh rows per chunk the probe counted about 9,500 minor
+    # faults, with one buffer per posterior about 130 (x86_64, glibc,
+    # Python 3.11, numpy 2.4).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(pi.__file__).parents[1]), env.get("PYTHONPATH")) if p
