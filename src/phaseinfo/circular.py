@@ -142,8 +142,9 @@ class CircularDensity:
             raise InvalidDensityError("density values must be finite")
         if vals.min() < 0.0:
             raise InvalidDensityError("density values must be nonnegative")
-        # Finite values whose sum overflows fail below.
-        total = float(vals.sum()) * TWO_PI / vals.size
+        # Finite values whose sum overflows fail below, without a warning.
+        with np.errstate(over="ignore"):
+            total = float(vals.sum()) * TWO_PI / vals.size
         if abs(total - 1.0) > 1e-9:
             raise InvalidDensityError(
                 "density integrates to %.17g, expected 1 within 1e-9" % total

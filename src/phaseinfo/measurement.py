@@ -32,10 +32,13 @@ def likelihood_density(state, delta):
     """Outcome density at offset delta = x - theta (scalar or array).
 
     Periodic with period 2 pi; inputs are reduced modulo 2 pi before use so
-    huge arguments lose no precision inside the complex exponentials.
+    huge arguments lose no precision inside the complex exponentials.  NaN
+    or +-inf raises ``ConfigurationError``.
     """
-    delta = np.mod(np.asarray(delta, dtype=np.float64), TWO_PI)
-    amp = phase_amplitude(state, delta)
+    delta = np.asarray(delta, dtype=np.float64)
+    if not np.all(np.isfinite(delta)):
+        raise ConfigurationError("delta must be finite")
+    amp = phase_amplitude(state, np.mod(delta, TWO_PI))
     return np.abs(amp) ** 2 / TWO_PI
 
 

@@ -11,15 +11,21 @@ and multimodal for larger cutoffs.  The search is projected gradient ascent:
   parabolic refinement of the accepted step so each iteration lands near
   the one-dimensional maximum along its ray instead of leapfrogging it;
 * the first line search tries a step of 0.1; each accepted step doubles
-  (capped at 1) to seed the next one;
-* convergence when an accepted step improves the objective by less than the
-  configured tolerance, or when no step as small as 1e-18 passes the test.
+  (capped at 1) to seed the next one.
+
+A start stops, flagged converged, at the first of four exits: the tangent
+gradient is exactly zero; no step as small as 1e-18 passes the Armijo test;
+the refined step gains nothing (gain <= 0); or it gains less than
+``convergence_tol``.  Otherwise it stops unconverged at ``max_iters``.
 
 The refinement matters: accepting any increase lets a saturated step
 oscillate across the ridge with vanishing gains, which stalls the
 gain-based stopping rule while the iterate is still far away in parameter
-space.  With near-exact line searches the gain tracks the remaining error,
-so the stopping rule is trustworthy.
+space.  With near-exact line searches the gain tracks the remaining error.
+Still, ``converged`` means the gain stalled, not that the gradient
+vanished: at G = 4096 one start from ``random_state(N, seed)`` stops with a
+tangent-gradient norm of 7.2e-6, 1.35e-5 and 1.49e-5 for (N, seed) =
+(8, 0), (16, 12345) and (32, 7).
 
 Because only increases are ever accepted, the per-iteration objective is
 monotone by construction.  Multimodality is handled by restarting from
@@ -139,73 +145,64 @@ def gauge_fix(state):
     real and nonnegative.  Idempotent up to rounding.
     """
     c = state.amplitudes
-    z1 = complex(np.sum(c[:-1] * np.conj(c[1:]))) if c.size > 1 else 0.0
+    z1 = complex(np.sum(c[:-1] * np.conj(c[1:])))
     beta = float(np.angle(z1)) if abs(z1) > 1e-12 else 0.0
     c = c * np.exp(1j * beta * np.arange(c.size))
-    lead = 0
-    mags = np.abs(c)
-    if mags[0] <= 1e-12:
-        lead = int(np.argmax(mags > 1e-12))
+    lead = int(np.argmax(np.abs(c) > 1e-12))
     c = c * np.exp(-1j * np.angle(c[lead]))
-    c = c.copy()
     c[lead] = abs(c[lead])
     return normalize(c)
 
 
 def _ascend(c0, config):
-    """Run one projected-gradient start; returns (c, value, iters, converged, history)."""
+    """Run one projected-gradient start; returns (c, value, iters, converged)."""
     g = config.grid_size
     c = np.array(c0, dtype=np.complex128)
     c /= np.linalg.norm(c)
     value, density = _information(c, g)
-    history = [value]
     step = _FIRST_STEP
     for iteration in range(1, config.max_iters + 1):
         direction = tangent_project(c, _information_gradient(c, density))
         gsq = float(np.real(np.vdot(direction, direction)))
         if gsq == 0.0:
-            return c, value, iteration, True, history
+            break
 
         def probe(s):
             trial = c + s * direction
             trial /= np.linalg.norm(trial)
-            return _information(trial, g) + (trial,)
+            return _information(trial, g) + (trial, s)
 
         # Directional derivative along the direction is 2 * gsq, so the
         # first-order gain of a step s is 2 * s * gsq.
         s = step
-        accepted = False
         while s > _MIN_STEP:
-            trial_value, trial_density, trial = probe(s)
-            if trial_value >= value + _SUFFICIENT * 2.0 * s * gsq:
-                accepted = True
+            accepted = probe(s)
+            if accepted[0] >= value + _SUFFICIENT * 2.0 * s * gsq:
                 break
             s *= 0.5
-        if not accepted:
+        else:
             # No step of any size realizes the first-order gain: stationary.
-            return c, value, iteration, True, history
-        # Refine: fit a parabola through steps 0, s/2, s and jump to its
-        # vertex when that beats both probes.
-        half_value, half_density, half = probe(s / 2.0)
-        concavity = 2.0 * (2.0 * half_value - value - trial_value)
+            break
+        # Refine: fit a parabola through steps 0, s/2, s and probe its
+        # vertex too; the best probe wins, the earlier one on a tie.
+        half = probe(s / 2.0)
+        probes = [accepted, half]
+        concavity = 2.0 * (2.0 * half[0] - value - accepted[0])
         if concavity > 0.0:
-            vertex = (s / 2.0) * (4.0 * half_value - 3.0 * value - trial_value) / concavity
+            vertex = (s / 2.0) * (4.0 * half[0] - 3.0 * value - accepted[0]) / concavity
             if 0.0 < vertex < 4.0 * s:
-                vertex_value, vertex_density, refined = probe(vertex)
-                if vertex_value > trial_value and vertex_value > half_value:
-                    trial_value, trial_density, trial = vertex_value, vertex_density, refined
-                    s = vertex
-        if half_value > trial_value:
-            trial_value, trial_density, trial, s = half_value, half_density, half, s / 2.0
+                probes.append(probe(vertex))
+        trial_value, trial_density, trial, s = max(probes, key=lambda p: p[0])
         gain = trial_value - value
         if gain <= 0.0:
-            return c, value, iteration, True, history
+            break
         c, value, density = trial, trial_value, trial_density
-        history.append(value)
         step = min(s * 2.0, 1.0)
         if gain < config.convergence_tol:
-            return c, value, iteration, True, history
-    return c, value, config.max_iters, False, history
+            break
+    else:
+        return c, value, config.max_iters, False
+    return c, value, iteration, True
 
 
 def _require_config(config):
@@ -216,7 +213,7 @@ def _require_config(config):
 def _run_start(config, seed):
     """One seeded start of :func:`optimize_state`: (c, value, iters, converged)."""
     c0 = random_state(config.max_photon, int(seed)).amplitudes
-    return _ascend(c0, config)[:4]
+    return _ascend(c0, config)
 
 
 def optimize_state(config):

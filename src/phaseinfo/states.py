@@ -451,6 +451,7 @@ def phase_amplitude(state, angles):
     ----------
     state : StateVector
     angles : float or ndarray
+        Finite angles; NaN or +-inf raises ``ConfigurationError``.
 
     Returns
     -------
@@ -458,6 +459,8 @@ def phase_amplitude(state, angles):
         Same shape as ``angles``.
     """
     angles = np.asarray(angles, dtype=np.float64)
+    if not np.all(np.isfinite(angles)):
+        raise ConfigurationError("angles must be finite")
     n = np.arange(state.dim)
     values = np.exp(1j * np.multiply.outer(angles, n)) @ state.amplitudes
     if angles.ndim == 0:

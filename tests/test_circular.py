@@ -107,9 +107,8 @@ def test_density_error_matrix():
         bad_logs[3] = bad
         cases.append((flat, bad_logs, "log_values must be free of NaN and +inf"))
     for vals, log_values, message in cases:
-        with np.errstate(over="ignore"):
-            with pytest.raises(InvalidDensityError) as info:
-                pi.CircularDensity(vals, log_values)
+        with pytest.raises(InvalidDensityError) as info:
+            pi.CircularDensity(vals, log_values)
         assert str(info.value) == message
     bad_logs = logs.copy()
     bad_logs[3] = -np.inf

@@ -31,6 +31,10 @@ def test_likelihood_periodic_and_reduces_large_arguments(n1_state):
     assert pi.likelihood_density(n1_state, big) == pi.likelihood_density(
         n1_state, np.mod(big, 2 * np.pi)
     )
+    # non-finite offsets are refused before the reduction, not returned as NaN
+    for bad in (np.inf, -np.inf, np.nan, [0.5, np.inf]):
+        with pytest.raises(ConfigurationError, match="delta must be finite"):
+            pi.likelihood_density(n1_state, bad)
 
 
 def test_canonical_density_matches_pointwise(n1_state):

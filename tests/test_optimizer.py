@@ -1,12 +1,14 @@
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import phaseinfo as pi
 from phaseinfo import ConfigurationError
+from phaseinfo.circular import _information
 from phaseinfo.optimizer import _ascend
 
 # Best information at cutoff 2, frozen from an independent search: a dense
@@ -130,16 +132,29 @@ def test_gauge_fix_normal_form():
     # number states are already in normal form
     f = pi.fock_state(2, 4)
     assert np.array_equal(pi.gauge_fix(f).amplitudes, f.amplitudes)
+    # an amplitude at or below 1e-12 is not the lead: c1 is made real
+    c = pi.random_state(4, 8).amplitudes.copy()
+    c[0] = 1e-13 * np.exp(0.4j)
+    fixed = pi.gauge_fix(pi.normalize(c)).amplitudes
+    assert fixed[1].imag == 0.0 and fixed[1].real > 0.0
+    assert 0.0 < abs(fixed[0]) <= 1e-12
 
 
 def test_ascent_is_monotone():
-    config = pi.OptimizerConfig(max_photon=4)
-    c0 = pi.random_state(4, 99).amplitudes
-    _, value, _, converged, history = _ascend(c0, config)
-    assert converged
-    diffs = np.diff(history)
-    assert np.all(diffs > 0.0)
-    assert history[-1] == value
+    # Each capped prefix of a run stops unconverged at its cap, and the
+    # values along the prefixes rise strictly from the start's value.
+    for n_max, seed in ((1, 3), (4, 99), (8, 5), (16, 12345)):
+        config = pi.OptimizerConfig(max_photon=n_max)
+        c0 = pi.random_state(n_max, seed).amplitudes
+        _, value, iters, converged = _ascend(c0, config)
+        assert converged
+        last = _information(c0 / np.linalg.norm(c0), config.grid_size)[0]
+        for k in range(1, iters):
+            _, prefix, k_iters, k_converged = _ascend(c0, replace(config, max_iters=k))
+            assert (k_iters, k_converged) == (k, False)
+            assert prefix > last
+            last = prefix
+        assert value >= last
 
 
 def test_one_projection_per_iteration(monkeypatch):

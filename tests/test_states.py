@@ -193,6 +193,9 @@ def test_phase_amplitude_scalar():
     val = pi.phase_amplitude(s, 0.0)
     assert isinstance(val, complex)
     assert abs(val - np.sqrt(2)) <= 1e-15
+    for bad in (np.inf, -np.inf, np.nan, [0.5, np.nan]):
+        with pytest.raises(ConfigurationError, match="angles must be finite"):
+            pi.phase_amplitude(s, bad)
 
 
 def test_phase_amplitude_grid_rejects_small_grid():
