@@ -9,7 +9,6 @@ one component, norm within ``NORM_TOL`` of one.
 
 import atexit
 import contextlib
-import itertools
 import numbers
 import os
 import pickle
@@ -73,16 +72,16 @@ _pool = []
 # The claim queue, [read end, write end] of one pipe.  It is made before the
 # first worker is forked and closed with the pool, so every worker reads it.
 _queue = []
-# Held by the call that is using the pool.  A nested or concurrent call
-# finds it taken and runs the plain loop, and so does every worker: workers
-# are forked by a call that holds it, and a fork copies it held.
+# Held by the call that is using the pool.  A concurrent call finds it taken
+# and runs the plain loop, and so does every worker: workers are forked by a
+# call that holds it, and a fork copies it held.
 _pool_lock = threading.Lock()
 
-# A call cuts the items after the first into at most _RUNS contiguous runs,
-# one 4-byte token each, and adds one _END token per process.  At most _RUNS
-# processes take part, so the tokens fill at most 4096 bytes, Linux's
-# PIPE_BUF: one write puts them in the empty pipe at once, without blocking,
-# and each 4-byte read of a pipe takes one token from it.
+# A call cuts its items into at most _RUNS contiguous runs, one 4-byte token
+# each, and adds one _END token per worker.  At most _RUNS workers take part,
+# so the tokens fill at most 4096 bytes, Linux's PIPE_BUF: one write puts
+# them in the empty pipe at once, without blocking, and each 4-byte read of
+# a pipe takes one token from it.
 _RUNS = 512
 _END = b"\xff" * 4
 
@@ -90,34 +89,34 @@ _END = b"\xff" * 4
 def _fan_out(fn, items):
     """``[fn(x) for x in items]``, run on every CPU this process may use.
 
-    W = min(allowed CPUs, len(items), 512) processes take part: this one
-    and W - 1 workers, each sent the same pickled ``(fn, items)``.  This
-    process runs item 0.  The rest are cut into at most 512 contiguous
-    runs, one token each in a shared queue, and every process claims runs
-    one token at a time until it reads its end token, so a faster CPU runs
-    more of them.  Workers are forked at the first call that needs them and
-    then reused.  Each job and each reply crosses a pipe as one pickle,
-    which marks its own end, so ``fn`` must pickle (a module-level
-    function, or a ``functools.partial`` of one) and so must its results.
-    A worker runs the modules as they were when it was forked;
-    monkeypatches made after that do not reach it.  Every result returns
-    to its item's place, so the output is the plain loop's for any CPU
-    count and any schedule as long as ``fn`` depends on its item alone.
-    Where ``os.fork`` or ``os.sched_getaffinity`` is missing, with one CPU,
-    inside a worker and inside a call that is already fanning out, the
-    plain loop runs here.
+    W = min(allowed CPUs, len(items), 512) workers take part, each sent the
+    same pickled ``(fn, items)``; this process only coordinates and runs no
+    item.  The items are cut into at most 512 contiguous runs, one token
+    each in a shared queue, and every worker claims runs one token at a
+    time until it reads its end token, so a faster CPU runs more of them.
+    Workers are forked at the first call that needs them and then reused.
+    Each job and each reply crosses a pipe as one pickle, which marks its
+    own end, so ``fn`` must pickle (a module-level function, or a
+    ``functools.partial`` of one) and so must its results.  A worker runs
+    the modules as they were when it was forked; monkeypatches made after
+    that do not reach it.  Every result returns to its item's place, so the
+    output is the plain loop's for any CPU count and any schedule as long
+    as ``fn`` depends on its item alone.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, with one CPU or one item, inside a
+    worker and while another thread's call is fanning out, the plain loop
+    runs here.
 
-    An ``Exception`` from an item stops the process that ran it from
-    running more, but not from claiming the runs left to it.  Once every
-    reply is in, the failure at the lowest index is re-raised with its type
-    and message, and the pool stays in step and alive.  So it does after a
-    job that a worker cannot load; that error is raised before any item's.
-    A call that ends on any other exception raised here (an unpicklable
-    ``fn`` among them), on an interrupt or on a worker without a result,
-    or that finds a worker dead when it starts, kills and reaps every
-    worker and closes the queue; the next call makes new ones.  Workers
-    exit with this interpreter (atexit), or at end of file on their task
-    pipe if it dies.
+    An ``Exception`` from an item stops the worker that ran it from running
+    more, but not from claiming the runs left to it.  Once every reply is
+    in, the failure at the lowest index is re-raised with its type and
+    message, and the pool stays in step and alive.  So it does after a job
+    that a worker cannot load; that error is raised before any item's.  A
+    call that ends on any other exception raised here (an unpicklable
+    ``fn`` among them), on an interrupt or on a worker without a result, or
+    that finds a worker dead when it starts, kills and reaps every worker
+    and closes the queue; the next call makes new ones.  Workers exit with
+    this interpreter (atexit), or at end of file on their task pipe if it
+    dies.
     """
     items = list(items)
     workers = 1
@@ -131,16 +130,15 @@ def _fan_out(fn, items):
             _close_pool()
         if not _queue:
             _queue.extend(os.pipe())
-        while len(_pool) < workers - 1:
+        while len(_pool) < workers:
             _pool.append(_fork_worker())
-        pool = _pool[: workers - 1]
-        runs = min(len(items) - 1, _RUNS)
+        pool = _pool[:workers]
+        runs = min(len(items), _RUNS)
         os.write(_queue[1], np.arange(runs, dtype="<u4").tobytes() + _END * workers)
         for _, tasks, _ in pool:
             tasks.write(job)
             tasks.flush()
-        claimed = (_items_of(run, len(items)) for run in _claims(_queue[0]))
-        replies = [_run_claimed(fn, items, itertools.chain([range(1)], claimed))]
+        replies = []
         for worker in pool:
             try:
                 replies.append(pickle.load(worker[2]))
@@ -173,32 +171,6 @@ def _claims(queue):
         yield int.from_bytes(token, "little")
 
 
-def _items_of(run, count):
-    """Indices of run ``run`` of a call's ``count`` items; item 0 is in none."""
-    runs = min(count - 1, _RUNS)
-    return range(1 + (count - 1) * run // runs, 1 + (count - 1) * (run + 1) // runs)
-
-
-def _run_claimed(fn, items, runs):
-    """``(index, fn(items[index]))`` pairs over runs of indices, and the first failure.
-
-    The failure is ``(index, exception)`` for the first ``Exception``, or
-    None; after it the remaining runs are still claimed but not run.
-    """
-    pairs = []
-    failure = None
-    for run in runs:
-        if failure is not None:
-            continue
-        for i in run:
-            try:
-                pairs.append((i, fn(items[i])))
-            except Exception as exc:
-                failure = (i, exc)
-                break
-    return pairs, failure
-
-
 def _exited(pid):
     """True if worker ``pid`` has ended; it is left for :func:`_reap` to wait for."""
     try:
@@ -214,11 +186,13 @@ def _fork_worker():
     parent, and loads jobs until end of file on its task pipe.  A job is
     the pickled ``(fn, items)`` pickled once more, so that one the worker
     cannot load still leaves the pipe in step.  For each job it claims runs
-    from the queue until its end token and answers with the pairs and the
-    failure of ``_run_claimed``.  It still claims the runs of a job it
-    cannot load, runs none, and answers that failure at index -1.  It exits
-    when the answer cannot be pickled, on any error that is not an
-    ``Exception``, or when the parent has gone.
+    from the queue until its end token, runs each claimed run's items, and
+    answers with ``(index, result)`` pairs and the first failure, as
+    ``(index, exception)``, or None.  After its first ``Exception`` it
+    still claims runs but runs none, and so it does for a job it cannot
+    load, whose failure it answers at index -1.  It exits when the answer
+    cannot be pickled, on any error that is not an ``Exception``, or when
+    the parent has gone.
     """
     task_read, task_write = os.pipe()
     reply_read, reply_write = os.pipe()
@@ -239,16 +213,22 @@ def _fork_worker():
                 while True:
                     # End of file raises EOFError here, which ends the worker.
                     job = pickle.load(tasks)
+                    pairs, failure = [], None
                     try:
                         fn, items = pickle.loads(job)
                     except Exception as exc:
-                        for _ in _claims(queue):
-                            pass
-                        reply = ([], (-1, exc))
-                    else:
-                        claimed = (_items_of(run, len(items)) for run in _claims(queue))
-                        reply = _run_claimed(fn, items, claimed)
-                    replies.write(pickle.dumps(reply))
+                        failure = (-1, exc)
+                    for run in _claims(queue):
+                        if failure is not None:
+                            continue
+                        runs = min(len(items), _RUNS)
+                        for i in range(len(items) * run // runs, len(items) * (run + 1) // runs):
+                            try:
+                                pairs.append((i, fn(items[i])))
+                            except Exception as exc:
+                                failure = (i, exc)
+                                break
+                    replies.write(pickle.dumps((pairs, failure)))
                     replies.flush()
         finally:
             # Never return into the caller's frames.
@@ -438,10 +418,14 @@ def gauge_transform(state, alpha, beta):
 
     ``alpha`` is an unobservable global phase; ``beta`` rigidly shifts the
     measurement density along the circle.  Both leave every information
-    functional unchanged.
+    functional unchanged.  A non-finite phase ``alpha + n beta`` raises
+    ``ConfigurationError``.
     """
-    n = np.arange(state.dim)
-    return StateVector(state.amplitudes * np.exp(1j * (alpha + n * beta)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = alpha + np.arange(state.dim) * beta
+    if not np.all(np.isfinite(phase)):
+        raise ConfigurationError("alpha %r and beta %r give a non-finite phase" % (alpha, beta))
+    return StateVector(state.amplitudes * np.exp(1j * phase))
 
 
 def phase_amplitude(state, angles):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,8 @@ def test_monte_carlo_degenerate_trial_is_tagged(n1_state, monkeypatch):
         raise DegeneratePosteriorError("no mass anywhere")
 
     monkeypatch.setattr("phaseinfo.bounds.posterior_from_outcomes", explode)
+    # The patch reaches this process only, so no trial may run in a worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(DegeneratePosteriorError, match="trial 0"):
         pi.monte_carlo_information(n1_state, 2, 5, seed=0)
 

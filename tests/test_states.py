@@ -117,6 +117,11 @@ def test_gauge_transform_preserves_norm_and_shifts_density():
     shifted = pi.canonical_density(moved, g).values
     # c_n -> exp(i n beta) c_n turns P(phi) into P(phi + beta)
     assert np.allclose(shifted, np.roll(base, -shift), atol=1e-12)
+    # A phase that is not finite is refused by name, with no RuntimeWarning.
+    for alpha, beta in ((np.inf, 0.0), (-np.inf, 0.0), (np.nan, 0.0), (0.0, np.inf),
+                        (0.0, -np.inf), (0.0, np.nan), (0.0, 1e308)):
+        with pytest.raises(ConfigurationError, match="alpha .* and beta .* non-finite phase"):
+            pi.gauge_transform(s, alpha, beta)
 
 
 def test_phase_amplitude_grid_matches_direct_evaluation():
@@ -319,16 +324,14 @@ def _fail_at(bad, x):
 
 
 def _unpicklable_result(x):
-    if x == 0:
-        # This process runs item 0; a worker claims item 1 meanwhile.
-        time.sleep(0.3)
     return lambda: x
 
 
-def _interrupt_or_sleep(x):
+def _interrupt_or_sleep(parent, x):
     if x == 0:
-        raise KeyboardInterrupt
-    time.sleep(60)
+        os.kill(parent, signal.SIGINT)
+    else:
+        time.sleep(60)
 
 
 def _reversed(data):
@@ -341,7 +344,7 @@ def _pid(x):
 
 def _pid_after_a_wait_at_item_0(x):
     if x == 0:
-        # This process runs item 0; a worker claims the others meanwhile.
+        # The worker that claims item 0 waits; another claims the rest meanwhile.
         time.sleep(0.3)
     return os.getpid()
 
@@ -407,7 +410,7 @@ def test_fan_out_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
 
 
 def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
-    # Two processes claim items 1-5 in any order; whichever runs a failing
+    # Two workers claim items 0-5 in any order; whichever runs a failing
     # item, the lowest one is raised and the pool stays in step and alive.
     _cpus(monkeypatch, 2)
     cases = (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2"), ((0, 5), "item 0"))
@@ -432,42 +435,47 @@ def test_fan_out_reports_a_worker_without_a_result(monkeypatch):
 
 
 def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
+    # A worker's item 0 interrupts this process while the other items sleep.
     _cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        states._fan_out(_interrupt_or_sleep, range(2))
+        states._fan_out(functools.partial(_interrupt_or_sleep, os.getpid()), range(2))
     assert time.monotonic() - start < 30
+    assert states._pool == []
     _assert_no_child_left()
 
 
 def test_fan_out_inside_a_child_runs_serially(monkeypatch):
-    # So does a call made by this process's own item while the pool works.
+    # Every item runs in a worker, so every nested call runs there serially.
+    # Which worker runs which item depends on the schedule.
     _cpus(monkeypatch, 2)
-    runs = states._fan_out(_pid_and_nested_pids, range(4))
-    assert any(pid != os.getpid() for pid, _ in runs)
-    for pid, inner in runs:
-        assert inner == [pid] * 4
+    assert states._fan_out(_square, range(2)) == [0, 1]
     pids = _worker_pids()
-    assert states._fan_out(_pid_and_nested_pids, range(4)) == runs
+    for _ in range(2):
+        for pid, inner in states._fan_out(_pid_and_nested_pids, range(4)):
+            assert pid in pids and inner == [pid] * 4
     assert _worker_pids() == pids
     states._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_moves_work_to_the_idle_process(monkeypatch):
-    # While this process sleeps in item 0, the worker claims every other run.
+    # While one worker sleeps in item 0, the other claims every other run.
+    # This process only coordinates: its pid appears nowhere.
     _cpus(monkeypatch, 2)
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
-    (worker,) = _worker_pids()
+    pids = states._fan_out(_pid, range(8))
+    assert os.getpid() not in pids
+    assert set(pids) <= set(_worker_pids())
     runs = states._fan_out(_pid_after_a_wait_at_item_0, range(8))
-    assert runs == [os.getpid()] + [worker] * 7
+    (other,) = set(_worker_pids()) - {runs[0]}
+    assert runs == [runs[0]] + [other] * 7
     _assert_queue_empty()
     states._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_cuts_many_items_into_capped_runs(monkeypatch):
-    # Past 513 items, several items share a run of the 512 tokens.  With
+    # Past 512 items, several items share a run of the 512 tokens.  With
     # more processes than cores too, a token lost or misread would show as
     # a wrong result or a token left over.
     for count in (2, 6):
@@ -580,7 +588,7 @@ def test_fan_out_workers_exit_with_the_interpreter(exit_call, tmp_path):
         check=True,
     )
     pids = [int(pid) for pid in pid_file.read_text().split()]
-    assert len(pids) == 2
+    assert len(pids) == 3
     if exit_call == "sys.exit(0)":
         # The atexit hook has killed and reaped them before the interpreter ended.
         for pid in pids:
