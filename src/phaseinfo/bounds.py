@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import states
+from . import _pool
 from .circular import (
     LOG_TWO_PI,
     entropy,
@@ -139,8 +139,10 @@ def monte_carlo_information(state, modes, trials, seed=0, grid_size=4096):
     """
     m, trials, seed, g = _require_run(modes, trials, seed, grid_size)
     trial = functools.partial(_trial, state, m, g, seed)
-    # Through the module, so that a trace charges the trials to this layer.
-    values = np.array(states._fan_out(trial, range(trials)), dtype=np.float64)
+    # Through the module, not bound by name: a trace then charges the wait for
+    # the trials to this layer, while perfbench's tracer would wrap a by-name
+    # binding into a _pool layer that it does not have, and fail.
+    values = np.array(_pool._fan_out(trial, range(trials)), dtype=np.float64)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(values.size))
     return mean, stderr

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import states
+from . import _pool
 from .circular import _information, _information_gradient, validate_grid_size
 from .errors import ConfigurationError
 from .states import StateVector, _require_integer, normalize, random_state
@@ -234,8 +234,10 @@ def optimize_state(config):
     start_seeds = np.random.SeedSequence(config.seed).generate_state(
         config.starts, dtype=np.uint64
     )
-    # Through the module, so that a trace charges the ascents to this layer.
-    runs = states._fan_out(functools.partial(_run_start, config), start_seeds)
+    # Through the module, not bound by name: a trace then charges the wait for
+    # the ascents to this layer, while perfbench's tracer would wrap a by-name
+    # binding into a _pool layer that it does not have, and fail.
+    runs = _pool._fan_out(functools.partial(_run_start, config), start_seeds)
     values = [value for _, value, _, _ in runs]
     best = int(np.argmax(values))
     best_c, _, best_iters, best_converged = runs[best]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phaseinfo as pi
-from phaseinfo import states
+from phaseinfo import _pool
 from phaseinfo.cli import main
 
 
@@ -24,7 +24,7 @@ def _cube(x):
 @given(items=st.lists(st.integers(-1000, 1000), max_size=12), cpus=st.integers(1, 4))
 def test_fan_out_equals_the_plain_loop(items, cpus):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
-        assert states._fan_out(_cube, items) == [_cube(x) for x in items]
+        assert _pool._fan_out(_cube, items) == [_cube(x) for x in items]
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)

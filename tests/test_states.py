@@ -13,7 +13,7 @@ import pytest
 
 import phaseinfo as pi
 from phaseinfo import ConfigurationError, DegeneratePosteriorError, InvalidStateError
-from phaseinfo import states
+from phaseinfo import _pool
 from phaseinfo.states import _likelihood_rows
 
 
@@ -285,7 +285,7 @@ def test_load_state_errors_name_the_path(tmp_path):
         pi.load_state(str(wide))
 
 
-# _fan_out: the fan-out of optimizer starts and Monte Carlo trials.  Work
+# _pool._fan_out: the fan-out of optimizer starts and Monte Carlo trials.  Work
 # crosses a pipe to the workers, so it must be module-level functions.
 
 
@@ -299,12 +299,12 @@ def _assert_no_child_left():
 
 
 def _worker_pids():
-    return [pid for pid, _, _ in states._pool]
+    return [pid for pid, _, _ in _pool._pool]
 
 
 def _assert_queue_empty():
     # A non-blocking read finds no claim token left over in the queue.
-    queue = states._queue[0]
+    queue = _pool._queue[0]
     os.set_blocking(queue, False)
     try:
         with pytest.raises(BlockingIOError):
@@ -350,7 +350,7 @@ def _pid_after_a_wait_at_item_0(x):
 
 
 def _pid_and_nested_pids(x):
-    return _pid_after_a_wait_at_item_0(x), states._fan_out(_pid, range(4))
+    return _pid_after_a_wait_at_item_0(x), _pool._fan_out(_pid, range(4))
 
 
 def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
@@ -378,19 +378,19 @@ def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
     assert run() == default
     assert _worker_pids() == pids
     _assert_queue_empty()
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_keeps_item_order(monkeypatch):
     _cpus(monkeypatch, 3)
-    assert states._fan_out(_square, range(10)) == [x * x for x in range(10)]
+    assert _pool._fan_out(_square, range(10)) == [x * x for x in range(10)]
     pids = _worker_pids()
     _assert_queue_empty()
-    assert states._fan_out(_square, range(7)) == [x * x for x in range(7)]
-    assert states._fan_out(_square, []) == []
+    assert _pool._fan_out(_square, range(7)) == [x * x for x in range(7)]
+    assert _pool._fan_out(_square, []) == []
     assert _worker_pids() == pids
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -400,12 +400,12 @@ def test_fan_out_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
     _cpus(monkeypatch, 3)
     size = 320 * 1024
     first = [np.random.default_rng([0, i]).bytes(size) for i in range(3)]
-    assert states._fan_out(_reversed, first) == [x[::-1] for x in first]
+    assert _pool._fan_out(_reversed, first) == [x[::-1] for x in first]
     pids = _worker_pids()
     second = [np.random.default_rng([1, i]).bytes(size) for i in range(3)]
-    assert states._fan_out(_reversed, second) == [x[::-1] for x in second]
+    assert _pool._fan_out(_reversed, second) == [x[::-1] for x in second]
     assert _worker_pids() == pids
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -415,14 +415,14 @@ def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
     _cpus(monkeypatch, 2)
     cases = (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2"), ((0, 5), "item 0"))
     for bad, first in cases:
-        states._fan_out(_square, range(2))
+        _pool._fan_out(_square, range(2))
         pids = _worker_pids()
         with pytest.raises(DegeneratePosteriorError, match=first):
-            states._fan_out(functools.partial(_fail_at, bad), range(6))
+            _pool._fan_out(functools.partial(_fail_at, bad), range(6))
         assert _worker_pids() == pids
         _assert_queue_empty()
-        assert states._fan_out(_square, range(6)) == [x * x for x in range(6)]
-        states._close_pool()
+        assert _pool._fan_out(_square, range(6)) == [x * x for x in range(6)]
+        _pool._close_pool()
         _assert_no_child_left()
 
 
@@ -430,7 +430,7 @@ def test_fan_out_reports_a_worker_without_a_result(monkeypatch):
     # A result that cannot be pickled never reaches this process.
     _cpus(monkeypatch, 2)
     with pytest.raises(ChildProcessError, match="without a result"):
-        states._fan_out(_unpicklable_result, range(2))
+        _pool._fan_out(_unpicklable_result, range(2))
     _assert_no_child_left()
 
 
@@ -439,9 +439,9 @@ def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
     _cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        states._fan_out(functools.partial(_interrupt_or_sleep, os.getpid()), range(2))
+        _pool._fan_out(functools.partial(_interrupt_or_sleep, os.getpid()), range(2))
     assert time.monotonic() - start < 30
-    assert states._pool == []
+    assert _pool._pool == []
     _assert_no_child_left()
 
 
@@ -449,13 +449,13 @@ def test_fan_out_inside_a_child_runs_serially(monkeypatch):
     # Every item runs in a worker, so every nested call runs there serially.
     # Which worker runs which item depends on the schedule.
     _cpus(monkeypatch, 2)
-    assert states._fan_out(_square, range(2)) == [0, 1]
+    assert _pool._fan_out(_square, range(2)) == [0, 1]
     pids = _worker_pids()
     for _ in range(2):
-        for pid, inner in states._fan_out(_pid_and_nested_pids, range(4)):
+        for pid, inner in _pool._fan_out(_pid_and_nested_pids, range(4)):
             assert pid in pids and inner == [pid] * 4
     assert _worker_pids() == pids
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -463,14 +463,14 @@ def test_fan_out_moves_work_to_the_idle_process(monkeypatch):
     # While one worker sleeps in item 0, the other claims every other run.
     # This process only coordinates: its pid appears nowhere.
     _cpus(monkeypatch, 2)
-    pids = states._fan_out(_pid, range(8))
+    pids = _pool._fan_out(_pid, range(8))
     assert os.getpid() not in pids
     assert set(pids) <= set(_worker_pids())
-    runs = states._fan_out(_pid_after_a_wait_at_item_0, range(8))
+    runs = _pool._fan_out(_pid_after_a_wait_at_item_0, range(8))
     (other,) = set(_worker_pids()) - {runs[0]}
     assert runs == [runs[0]] + [other] * 7
     _assert_queue_empty()
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -481,9 +481,9 @@ def test_fan_out_cuts_many_items_into_capped_runs(monkeypatch):
     for count in (2, 6):
         _cpus(monkeypatch, count)
         for size in (513, 514, 5000):
-            assert states._fan_out(_square, range(size)) == [x * x for x in range(size)]
+            assert _pool._fan_out(_square, range(size)) == [x * x for x in range(size)]
             _assert_queue_empty()
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -491,10 +491,10 @@ def test_fan_out_refuses_an_unpicklable_fn(monkeypatch):
     _cpus(monkeypatch, 2)
     for existing_pool in (False, True):
         if existing_pool:
-            states._fan_out(_square, range(2))
+            _pool._fan_out(_square, range(2))
         with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
-            states._fan_out(lambda x: x, range(2))
-        assert states._pool == []
+            _pool._fan_out(lambda x: x, range(2))
+        assert _pool._pool == []
         _assert_no_child_left()
 
 
@@ -502,7 +502,7 @@ def test_fan_out_raises_a_job_a_worker_cannot_load(monkeypatch):
     # A function bound after the workers were forked is missing in them: the
     # job fails to load there, and the pool stays in step and alive.
     _cpus(monkeypatch, 2)
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
     pids = _worker_pids()
 
     def late(x):
@@ -511,44 +511,44 @@ def test_fan_out_raises_a_job_a_worker_cannot_load(monkeypatch):
     late.__qualname__ = "_late"
     monkeypatch.setattr(sys.modules[__name__], "_late", late, raising=False)
     with pytest.raises(AttributeError, match="_late"):
-        states._fan_out(late, range(4))
+        _pool._fan_out(late, range(4))
     assert _worker_pids() == pids
     _assert_queue_empty()
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
-    states._close_pool()
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    _pool._close_pool()
     _assert_no_child_left()
 
 
 def test_fan_out_replaces_a_killed_idle_worker(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
     killed = _worker_pids()[0]
     os.kill(killed, signal.SIGKILL)
     # Wait until it is dead, and leave it for the pool to reap.
     os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
     assert _worker_pids() and killed not in _worker_pids()
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
 def test_a_process_forked_from_the_owner_drops_the_pool(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
     pids = _worker_pids()
     child = os.fork()
     if child == 0:
         ok = False
         try:
-            dropped = states._pool == []
-            ok = dropped and states._fan_out(_square, range(4)) == [0, 1, 4, 9]
-            states._close_pool()
+            dropped = _pool._pool == []
+            ok = dropped and _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
+            _pool._close_pool()
         finally:
             os._exit(0 if ok else 1)
     assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
-    assert states._fan_out(_square, range(4)) == [0, 1, 4, 9]
+    assert _pool._fan_out(_square, range(4)) == [0, 1, 4, 9]
     assert _worker_pids() == pids
-    states._close_pool()
+    _pool._close_pool()
     _assert_no_child_left()
 
 
@@ -572,9 +572,9 @@ def test_fan_out_workers_exit_with_the_interpreter(exit_call, tmp_path):
     pid_file = tmp_path / "pids"
     code = (
         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
-        "from phaseinfo import states; "
-        "assert states._fan_out(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]; "
-        "open(sys.argv[1], 'w').write(' '.join(str(w[0]) for w in states._pool)); "
+        "from phaseinfo import _pool; "
+        "assert _pool._fan_out(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]; "
+        "open(sys.argv[1], 'w').write(' '.join(str(w[0]) for w in _pool._pool)); "
         + exit_call
     )
     env = dict(os.environ)
