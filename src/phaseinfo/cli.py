@@ -46,7 +46,7 @@ def _emit(text, out_path):
 
 def _add_search(parser):
     parser.add_argument("--starts", type=int, default=16, metavar="K")
-    parser.add_argument("--tol", type=float, default=1e-10, metavar="T")
+    parser.add_argument("--tol", type=float, default=1e-6, metavar="T")
     parser.add_argument("--max-iters", type=int, default=10_000, metavar="I")
     parser.add_argument("--seed", type=int, default=0)
 

@@ -157,6 +157,34 @@ def test_ascent_is_monotone():
         assert value >= last
 
 
+def test_stop_certifies_the_tangent_gradient():
+    # A converged start is stationary to the tolerance: the stop is on the
+    # tangent gradient, not on a stalled gain.
+    for n_max, seed in ((8, 0), (16, 12345), (32, 7)):
+        config = pi.OptimizerConfig(max_photon=n_max)
+        c, _, _, converged = _ascend(pi.random_state(n_max, seed).amplitudes, config)
+        assert converged
+        state = pi.normalize(c)
+        grad = pi.tangent_project(state.amplitudes, pi.objective_gradient(state))
+        assert np.linalg.norm(grad) <= config.convergence_tol
+
+
+def test_starts_agree_at_cutoff_64():
+    # Every start reaches the same optimum within 100 iterations.
+    config = pi.OptimizerConfig(max_photon=64, starts=4, seed=12345, max_iters=100)
+    result = pi.optimize_state(config)
+    assert all(result.per_start_converged)
+    assert max(result.per_start) - min(result.per_start) <= 1e-10
+
+
+def test_tolerance_below_rounding_stops_converged():
+    # No step can certify a gradient of 1e-14; the run still ends as soon as
+    # the gains vanish in rounding, long before the iteration cap.
+    config = pi.OptimizerConfig(max_photon=8, convergence_tol=1e-14, max_iters=200)
+    _, _, iters, converged = _ascend(pi.random_state(8, 0).amplitudes, config)
+    assert converged and iters < 200
+
+
 def test_one_projection_per_iteration(monkeypatch):
     # The benchmark trace counts optimizer iterations at tangent_project.
     import phaseinfo.optimizer as opt
@@ -287,6 +315,22 @@ def test_bound_sweep_small():
     for p in points:
         baseline = pi.mutual_information_single(pi.sine_state(p.state.max_photon))
         assert p.information >= baseline - 1e-9
+
+
+def test_bound_sweep_equals_per_cutoff_searches():
+    # One fan-out over every cutoff's starts gives what one search per cutoff
+    # gives, field by field.
+    config = pi.OptimizerConfig(max_photon=6, starts=3, seed=4)
+    points = pi.bound_sweep(config)
+    assert len(points) == 7
+    for n, point in enumerate(points):
+        alone = pi.optimize_state(replace(config, max_photon=n))
+        assert np.array_equal(point.state.amplitudes, alone.state.amplitudes)
+        assert point.information == alone.information
+        assert point.per_start == alone.per_start
+        assert point.per_start_converged == alone.per_start_converged
+        assert point.converged == alone.converged
+        assert point.iterations == alone.iterations
 
 
 def test_bound_sweep_refuses_bad_input_before_any_search():
