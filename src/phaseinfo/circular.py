@@ -21,7 +21,8 @@ coefficients, so it is evaluated by polyphase decomposition: node
 k = q + Q l splits into Q interleaved subgrids of L = G / Q nodes, each one
 real inverse FFT of length L of the lags twiddled by exp(i m phi_q).  The
 Q transforms run as one batch, and the twiddle table depends only on
-(G, L), so it is built once and cached read-only like the unit circle.
+(G, L), so it is built once and cached read-only like the unit circle; so is
+the conjugate slice of it that the objective's gradient sums against.
 """
 
 import functools
@@ -222,44 +223,56 @@ def _canonical_values(amplitudes, grid_size):
     return np.fft.irfft(half, n=sub, norm="forward")
 
 
-def _plogp(p):
+def _plogp(p, weights=False):
     """Node sum of p log p, and log p, with log p = 0 at nodes of mass <= 1e-300.
 
     ``p`` may be a node-ordered density or the (Q, L) polyphase layout.  With no
     node at or below the floor it takes the plain log, else the log masked by
-    ``where=``; both paths give the same bits at every unmasked node.
+    ``where=``; both paths give the same bits at every unmasked node.  With
+    ``weights`` the second array is the objective gradient's weights instead:
+    1 + log p, still 0 at the masked nodes, after the sum is taken.
     """
-    plain = p.min() > _MASS_FLOOR
-    logp = np.log(p) if plain else np.log(p, out=np.zeros(p.shape), where=p > _MASS_FLOOR)
-    return float((p * logp).sum()), logp
+    mask = True if p.min() > _MASS_FLOOR else p > _MASS_FLOOR
+    logp = np.log(p) if mask is True else np.log(p, out=np.zeros(p.shape), where=mask)
+    plogp = float((p * logp).sum())
+    if weights:
+        np.add(logp, 1.0, out=logp, where=mask)
+    return plogp, logp
 
 
 def _information(c, grid_size):
-    """I_1 = log(2 pi) - H at unit amplitudes c, with the density and log-density.
+    """I_1 = log(2 pi) - H at unit amplitudes c, with the gradient weights.
 
-    p and log p stay in the (Q, L) layout of ``_canonical_values`` for the
-    gradient.  I_1 >= 0 holds exactly, so the clamp at zero removes rounding.
+    The weights 1 + log p (0 where p is masked) stay in the (Q, L) layout of
+    ``_canonical_values`` for ``_information_gradient``.  I_1 >= 0 holds
+    exactly, so the clamp at zero removes rounding.
     """
-    p = _canonical_values(c, grid_size)
-    plogp, logp = _plogp(p)
+    plogp, weights = _plogp(_canonical_values(c, grid_size), weights=True)
     value = LOG_TWO_PI + plogp * TWO_PI / grid_size
-    return (value if value > 0.0 else 0.0), (p, logp)
+    return (value if value > 0.0 else 0.0), weights
 
 
-def _information_gradient(c, density):
-    """Wirtinger gradient d I_1 / d conj(c) from ``_information``'s (p, log p).
+@functools.lru_cache(maxsize=8)
+def _conjugate_twiddles(grid_size, sub_length, size):
+    """conj(``_twiddles``) for m < size, read-only, shape (Q, size)."""
+    tw = _twiddles(grid_size, sub_length)[:, :size].conj()
+    tw.flags.writeable = False
+    return tw
 
-    One batched real FFT of 1 + log p along the rows of the (Q, L) layout, a
+
+def _information_gradient(c, weights):
+    """Wirtinger gradient d I_1 / d conj(c) from ``_information``'s weights.
+
+    One batched real FFT of the weights along the rows of the (Q, L) layout, a
     sum of its Q rows against the conjugate twiddles, then a Toeplitz product.
     """
     # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
-    # with w = 1 + log P, equals sum_j W_{(n-j) mod G} c_j for W = DFT(w) / G.
-    # log P is 0 at masked nodes, so adding the mask gives w = 0 there.
+    # with w = 1 + log P (0 at masked nodes), equals sum_j W_{(n-j) mod G} c_j
+    # for W = DFT(w) / G.
     # In the (Q, L) layout W_m = (1/Q) sum_q e^{-i m phi_q} DFT_L(w[q])_m / L.
-    p, logp = density
-    q, sub = p.shape
-    w = np.fft.rfft(logp + (p > _MASS_FLOOR), norm="forward")[:, : c.size]
-    w = np.einsum("qm,qm->m", w, _twiddles(q * sub, sub)[:, : c.size].conj()) / q
+    q, sub = weights.shape
+    w = np.fft.rfft(weights, norm="forward")[:, : c.size]
+    w = np.einsum("qm,qm->m", w, _conjugate_twiddles(q * sub, sub, w.shape[1])) / q
     if c.size > w.size:
         # Lags past G/2 (only with Q = 1) are conjugates of their mirror images.
         w = np.concatenate((w, np.conj(w[sub - np.arange(w.size, c.size)])))

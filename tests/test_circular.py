@@ -474,6 +474,19 @@ def test_plogp_matches_the_masked_log_bit_for_bit():
         assert plogp == float((p * logp).sum())
 
 
+def test_information_returns_the_gradient_weights_bit_for_bit():
+    # The weights are 1 + log p at the unmasked nodes and 0 at the masked
+    # ones: the masked log plus the mask, from the one p log p implementation.
+    for state, masked in ((pi.random_state(40, 2), False), (pi.sine_state(8), True)):
+        c = state.amplitudes
+        p = circular._canonical_values(c, 4096)
+        assert bool(np.any(p <= 1e-300)) == masked
+        value, weights = circular._information(c, 4096)
+        plogp, logp = circular._plogp(p)
+        assert weights.tobytes() == (logp + (p > 1e-300)).tobytes()
+        assert value == LN2PI + plogp * (2 * np.pi) / 4096
+
+
 def _reference_posterior(c, logs, outcomes, g):
     # Log-likelihood rows added one by one in outcome order, normalized once.
     logs = logs.copy()

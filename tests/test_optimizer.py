@@ -9,7 +9,7 @@ import pytest
 import phaseinfo as pi
 from phaseinfo import ConfigurationError
 from phaseinfo.circular import _information
-from phaseinfo.optimizer import _ascend
+from phaseinfo.optimizer import _ascend, _snap
 
 # Best information at cutoff 2, frozen from an independent search: a dense
 # scan of the two spherical angles of real nonnegative amplitude triples
@@ -167,6 +167,50 @@ def test_stop_certifies_the_tangent_gradient():
         state = pi.normalize(c)
         grad = pi.tangent_project(state.amplitudes, pi.objective_gradient(state))
         assert np.linalg.norm(grad) <= config.convergence_tol
+
+
+def test_whole_node_shifts_leave_the_gridded_objective_unchanged():
+    # The premise of the snap: c_n -> exp(2 pi i n k / G) c_n shifts the
+    # density by k whole nodes, an exact symmetry of the gridded objective.
+    g = 4096
+    for state in [pi.random_state(24, k) for k in range(4)] + [pi.sine_state(24)]:
+        c = state.amplitudes
+        value = _information(c, g)[0]
+        for k in (1, 7, -3):
+            shifted = c * np.exp(2j * np.pi * k * np.arange(c.size) / g)
+            assert abs(_information(shifted, g)[0] - value) <= 1e-14
+
+
+def _first_moment_angle(c):
+    return float(np.angle(np.vdot(c[1:], c[:-1])))
+
+
+def test_snap_only_raises_the_value_and_places_the_mean_on_a_quarter_node():
+    g = 4096
+    quarter = 2 * np.pi / g / 4
+    starts = [pi.random_state(24, k).amplitudes for k in range(4)]
+    starts += [pi.sine_state(24).amplitudes, pi.random_state(8, 1).amplitudes]
+    # Near-optimal states, where the snap runs inside the search.
+    starts += [_ascend(pi.random_state(n, 5).amplitudes, pi.OptimizerConfig(max_photon=n))[0]
+               for n in (8, 16, 32)]
+    kept = 0
+    for c in starts:
+        value = _information(c, g)[0]
+        snap = _snap(c, value, g)
+        if snap is None:
+            continue
+        kept += 1
+        phase, placed, placed_value, weights = snap
+        assert placed_value > value
+        assert np.array_equal(placed, c * phase)
+        again = _information(placed, g)
+        assert again[0] == placed_value
+        assert again[1].tobytes() == weights.tobytes()
+        turns = _first_moment_angle(placed) / quarter
+        assert abs(turns - round(turns)) <= 1e-6
+        # No placement beats the one kept.
+        assert _snap(placed, placed_value, g) is None
+    assert kept >= 3
 
 
 def test_starts_agree_at_cutoff_64():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import phaseinfo as pi
-from phaseinfo import ConfigurationError, DegeneratePosteriorError, InvalidStateError
+from phaseinfo import ConfigurationError, InvalidStateError
 from phaseinfo import _pool
 from phaseinfo.states import _likelihood_rows
+from test_pool import _assert_no_child_left, _assert_queue_empty, _cpus, _square, _worker_pids
 
 
 def test_normalize_equal_pair():
@@ -286,45 +287,8 @@ def test_load_state_errors_name_the_path(tmp_path):
 
 
 # _pool._fan_out: the fan-out of optimizer starts and Monte Carlo trials.  Work
-# crosses a pipe to the workers, so it must be module-level functions.
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _worker_pids():
-    return [pid for pid, _, _ in _pool._pool]
-
-
-def _assert_queue_empty():
-    # A non-blocking read finds no claim token left over in the queue.
-    queue = _pool._queue[0]
-    os.set_blocking(queue, False)
-    try:
-        with pytest.raises(BlockingIOError):
-            os.read(queue, 4)
-    finally:
-        os.set_blocking(queue, True)
-
-
-def _square(x):
-    return x * x
-
-
-def _fail_at(bad, x):
-    if x in bad:
-        raise DegeneratePosteriorError("item %d" % x)
-    return x
-
-
-def _unpicklable_result(x):
-    return lambda: x
+# crosses a pipe to the workers, so it must be module-level functions.  The
+# helpers shared with tests/test_pool.py live there.
 
 
 def _interrupt_or_sleep(parent, x):
@@ -332,10 +296,6 @@ def _interrupt_or_sleep(parent, x):
         os.kill(parent, signal.SIGINT)
     else:
         time.sleep(60)
-
-
-def _reversed(data):
-    return data[::-1]
 
 
 def _pid(x):
@@ -351,87 +311,6 @@ def _pid_after_a_wait_at_item_0(x):
 
 def _pid_and_nested_pids(x):
     return _pid_after_a_wait_at_item_0(x), _pool._fan_out(_pid, range(4))
-
-
-def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
-    config = pi.OptimizerConfig(max_photon=6, starts=5, seed=3)
-    state = pi.sine_state(4)
-
-    def run():
-        result = pi.optimize_state(config)
-        mc = pi.monte_carlo_information(state, 8, 7, seed=11)
-        return (
-            result.state.amplitudes.tobytes(),
-            result.per_start,
-            result.per_start_converged,
-            result.converged,
-            result.iterations,
-            mc,
-        )
-
-    default = run()
-    for count in (1, 2, 3):
-        _cpus(monkeypatch, count)
-        assert run() == default
-    pids = _worker_pids()
-    assert len(pids) >= 2
-    assert run() == default
-    assert _worker_pids() == pids
-    _assert_queue_empty()
-    _pool._close_pool()
-    _assert_no_child_left()
-
-
-def test_fan_out_keeps_item_order(monkeypatch):
-    _cpus(monkeypatch, 3)
-    assert _pool._fan_out(_square, range(10)) == [x * x for x in range(10)]
-    pids = _worker_pids()
-    _assert_queue_empty()
-    assert _pool._fan_out(_square, range(7)) == [x * x for x in range(7)]
-    assert _pool._fan_out(_square, []) == []
-    assert _worker_pids() == pids
-    _pool._close_pool()
-    _assert_no_child_left()
-
-
-def test_fan_out_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
-    # Every share and every result is 320 KiB, past a pipe's buffer, so each
-    # pickle crosses in several partial writes and reads.
-    _cpus(monkeypatch, 3)
-    size = 320 * 1024
-    first = [np.random.default_rng([0, i]).bytes(size) for i in range(3)]
-    assert _pool._fan_out(_reversed, first) == [x[::-1] for x in first]
-    pids = _worker_pids()
-    second = [np.random.default_rng([1, i]).bytes(size) for i in range(3)]
-    assert _pool._fan_out(_reversed, second) == [x[::-1] for x in second]
-    assert _worker_pids() == pids
-    _pool._close_pool()
-    _assert_no_child_left()
-
-
-def test_fan_out_raises_the_lowest_failing_item(monkeypatch):
-    # Two workers claim items 0-5 in any order; whichever runs a failing
-    # item, the lowest one is raised and the pool stays in step and alive.
-    _cpus(monkeypatch, 2)
-    cases = (((1, 4), "item 1"), ((4, 5), "item 4"), ((2, 3), "item 2"), ((0, 5), "item 0"))
-    for bad, first in cases:
-        _pool._fan_out(_square, range(2))
-        pids = _worker_pids()
-        with pytest.raises(DegeneratePosteriorError, match=first):
-            _pool._fan_out(functools.partial(_fail_at, bad), range(6))
-        assert _worker_pids() == pids
-        _assert_queue_empty()
-        assert _pool._fan_out(_square, range(6)) == [x * x for x in range(6)]
-        _pool._close_pool()
-        _assert_no_child_left()
-
-
-def test_fan_out_reports_a_worker_without_a_result(monkeypatch):
-    # A result that cannot be pickled never reaches this process.
-    _cpus(monkeypatch, 2)
-    with pytest.raises(ChildProcessError, match="without a result"):
-        _pool._fan_out(_unpicklable_result, range(2))
-    _assert_no_child_left()
 
 
 def test_fan_out_kills_children_when_this_process_raises(monkeypatch):
