@@ -11,6 +11,7 @@ import atexit
 import contextlib
 import os
 import pickle
+import select
 import signal
 import threading
 
@@ -87,6 +88,10 @@ def _fan_out(fn, items):
             tasks.flush()
         replies = []
         for worker in pool:
+            # Bounded waits: a SIGINT caught just before a blocking read would
+            # be acted on only once the reply came.
+            while not select.select([worker[2]], [], [], 0.1)[0]:
+                pass
             try:
                 replies.append(pickle.load(worker[2]))
             except (EOFError, pickle.UnpicklingError):

@@ -235,6 +235,8 @@ def test_optimize_json_structure(tmp_path, capsys):
     state_path.write_text(json.dumps(doc["state"]))
     capsys.readouterr()
     assert main(["info", "--state", str(state_path)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert abs(info["mutual_information"] - doc["information_nats"]) <= 1e-13
 
 
 def test_optimize_deterministic_bytes(tmp_path):

@@ -325,6 +325,12 @@ def test_result_reports_best_start():
     assert result.information == max(result.per_start)
     assert len(result.per_start) == 5
     assert len(result.per_start_converged) == 5
+    assert pi.mutual_information_single(result.state) == result.information
+    # The state is the winning start as its search left it, so it gives back
+    # the reported value bit for bit; at cutoff 24 a gauge fix after the
+    # ripple snap loses 2.1e-8 of it.
+    result = pi.optimize_state(pi.OptimizerConfig(max_photon=24, starts=4, seed=7))
+    assert pi.mutual_information_single(result.state) == result.information
 
 
 def test_multistart_spread_is_flagged_not_fatal():
@@ -371,6 +377,7 @@ def test_bound_sweep_equals_per_cutoff_searches():
         alone = pi.optimize_state(replace(config, max_photon=n))
         assert np.array_equal(point.state.amplitudes, alone.state.amplitudes)
         assert point.information == alone.information
+        assert pi.mutual_information_single(point.state) == point.information
         assert point.per_start == alone.per_start
         assert point.per_start_converged == alone.per_start_converged
         assert point.converged == alone.converged
