@@ -2,37 +2,31 @@
 
 The objective J(c) = log(2 pi) - H(P_c) is smooth on the unit sphere of
 amplitude vectors, invariant under the gauge maps c_n -> exp(i(a + n b)) c_n,
-and multimodal for larger cutoffs.  Each start is a limited-memory BFGS
-ascent on the sphere (Nocedal & Wright 2006, ch. 7; Absil, Mahony &
-Sepulchre 2008) in the real coordinates of the 2(N + 1) amplitude parts:
+and multimodal for larger cutoffs.  The search runs over real amplitude
+vectors, which removes the gauge orbit from the search space (the quotient
+view of Absil, Mahony & Sepulchre 2008).  On the grid J is exactly invariant
+under c -> conj(c), since the nodes are symmetric under phi -> -phi, so at a
+real c the derivative along every imaginary direction is zero and every
+stationary point of the real search is one of the complex search too.  That
+these are maxima over complex states is observed, not proved: the complex
+search's optima were real and positive after ``gauge_fix`` (imaginary parts
+at most 8.9e-7) at every cutoff N = 0 .. 40, 48, 64, 96, 128 and 160 checked.
+
+Each start is a limited-memory BFGS ascent on the real unit sphere
+(Nocedal & Wright 2006, ch. 7) in the N + 1 amplitudes, from the moduli of
+a seeded random state:
 
 * objective and Wirtinger gradient from ``circular._information`` and
-  ``_information_gradient``, whose docstrings give the polyphase layout;
-  each iteration projects the gradient onto the sphere's tangent space once;
+  ``_information_gradient`` at the complex cast of each iterate, whose
+  docstrings give the polyphase layout; each iteration projects the real
+  part of the gradient onto the sphere's tangent space once;
 * the direction is the two-loop recursion over the last 5 curvature pairs,
   skipping a pair with s.y <= 0 and scaling by s.y / y.y; with no pairs, or
   when the recursion does not point uphill, the memory restarts from the
   bare gradient, scaled to a step that starts at 0.1, doubles after each
   full step along it and shrinks by the factor t of a shorter one;
 * a step retracts onto the sphere by normalizing, and the line search
-  halves it from 1 until the Armijo sufficient-increase test passes;
-* once per start, at the first step accepted from a tangent gradient below
-  1e-3, the start snaps along its gauge orbit toward the grid's ripple crest.
-
-The ripple: on G nodes J is invariant under the linear gauge only up to a
-ripple of period 2 pi / G in b, since a whole-node shift of the density is
-an exact symmetry of the node sum.  At G = 4096 it measures 6.9e-9 and
-6.4e-8 peak to peak at the N = 16 and N = 32 optima, and its slope adds up
-to 8.3e-7 and 3.5e-6 to the tangent gradient.  Without the snap a start
-creeps along this almost flat direction: at N >= 12, 8-14 of its 30-43
-iterations come after the tangent gradient first falls below 1e-5; with
-it, about 2 do.  ``_snap`` puts the density's mean direction on a node and
-1/4, 1/2 and 3/4 of the way to the next, keeps the best placement if it
-beats the step, and turns the curvature pairs with it.  For a density
-symmetric about its mean, the node and half-node placements are stationary
-along the orbit, but either can be a ripple minimum (at N = 48 and 96 the
-half node is one), where no gradient leads on; from a quarter placement a
-start keeps climbing.
+  halves it from 1 until the Armijo sufficient-increase test passes.
 
 A start stops, flagged converged, at the first of three exits: the norm of
 the tangent gradient is at most ``convergence_tol`` (or exactly zero); no
@@ -44,12 +38,13 @@ unless the rounding of J stops the ascent first: the last two exits fire
 once a step's gain is below the rounding of J, which at G = 4096 happens
 near a tangent gradient of 1e-8, so a smaller tolerance still ends the run
 there instead of at ``max_iters``.  With the default 1e-6 at G = 4096, one
-start from ``random_state(N, seed)`` stops with a tangent gradient of
-9.2e-7, 3.7e-7 and 4.6e-7 for (N, seed) = (8, 0), (16, 12345) and (32, 7).
+start from the moduli of ``random_state(N, seed)`` stops with a tangent
+gradient of 8.5e-8, 5.7e-7 and 7.5e-7 for (N, seed) = (8, 0), (16, 12345)
+and (32, 7).
 
-Because only increases are ever accepted, the snap included, the
-per-iteration objective is monotone by construction.  Multimodality is
-handled by restarting from seeded random states and keeping the best run.
+Because only increases are ever accepted, the per-iteration objective is
+monotone by construction.  Multimodality is handled by restarting from
+seeded random states and keeping the best run.
 """
 
 import collections
@@ -61,7 +56,7 @@ import numpy as np
 from . import _pool
 from .circular import _information, _information_gradient, validate_grid_size
 from .errors import ConfigurationError
-from .states import TWO_PI, StateVector, _require_integer, normalize, random_state
+from .states import StateVector, _require_integer, normalize, random_state
 
 __all__ = [
     "OptimizerConfig",
@@ -82,11 +77,6 @@ _MEMORY = 5
 
 # Armijo coefficient: fraction of the first-order gain a step must realize.
 _SUFFICIENT = 0.1
-
-# Tangent-gradient norm below which a start snaps once toward the ripple's
-# crest, and the placements per grid spacing that the snap tries (see _snap).
-_SNAP_GRADIENT = 1e-3
-_SNAP_PLACEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,9 @@ class OptimizerConfig:
     max_iters : int
         Iteration cap per start.
     seed : int
-        Seeds the restart states deterministically; an integer >= 0.
+        Seeds the restarts deterministically; an integer >= 0.  Each start
+        begins from the moduli of a ``random_state`` whose seed is drawn
+        from ``np.random.SeedSequence(seed)``.
     """
 
     max_photon: int
@@ -138,10 +130,11 @@ class OptimizationResult:
     """Best state found, with per-start diagnostics.
 
     ``information`` is exactly ``max(per_start)``; ``converged`` is the flag
-    of the winning start.  The state is that start's vector as its ascent
-    left it, so ``mutual_information_single(state, config.grid_size)`` is
-    ``information`` bit for bit.  Every start is seeded, so rerunning with the
-    same config reproduces both bit for bit, on any number of CPUs.
+    of the winning start.  The state is that start's real vector as its
+    ascent left it (every imaginary part exactly 0), so
+    ``mutual_information_single(state, config.grid_size)`` is ``information``
+    bit for bit.  Every start is seeded, so rerunning with the same config
+    reproduces both bit for bit, on any number of CPUs.
     """
 
     state: StateVector
@@ -210,46 +203,26 @@ def _direction(grad, pairs, step):
     return q
 
 
-def _snap(c, value, grid_size):
-    """Move c along its linear-gauge orbit toward the crest of the grid's ripple.
+def _ascend(x0, config):
+    """Run one L-BFGS start on the real sphere; returns (c, value, iters, converged).
 
-    The map c_n -> exp(i n b) c_n shifts the density by b, and a whole-node
-    shift leaves the gridded J exactly unchanged, so J ripples along the orbit
-    with period h = 2 pi / G.  Tries the placements of the density's mean
-    direction at 0, 1/4, 1/2 and 3/4 of a node and returns (phase, c, value,
-    weights) for the best one if it beats ``value``, else None; ``phase`` is
-    the diagonal factor exp(i n b) that moved c.
+    ``x0`` is a real start vector; ``c`` is the complex cast of the last
+    iterate, the vector ``value`` was evaluated at.
     """
-    h = TWO_PI / grid_size
-    # The first moment of the density is sum_n c_n conj(c_{n+1}), and c_n ->
-    # exp(i n b) c_n turns its direction by -b.
-    mean = float(np.angle(np.vdot(c[1:], c[:-1])))
-    node = np.floor(mean / h)
-    best = None
-    for fraction in np.arange(_SNAP_PLACEMENTS) / _SNAP_PLACEMENTS:
-        phase = np.exp(1j * (mean - h * (node + fraction)) * np.arange(c.size))
-        placed = c * phase
-        placed_value, weights = _information(placed, grid_size)
-        if placed_value > value:
-            best, value = (phase, placed, placed_value, weights), placed_value
-    return best
-
-
-def _ascend(c0, config):
-    """Run one L-BFGS start on the sphere; returns (c, value, iters, converged)."""
     g = config.grid_size
-    c = np.array(c0, dtype=np.complex128)
-    c /= np.linalg.norm(c)
+    x = np.array(x0, dtype=np.float64)
+    x /= np.linalg.norm(x)
+    # J is evaluated at the complex cast, the array a StateVector of x holds:
+    # np.correlate rounds the lags of a real vector differently.
+    c = x.astype(np.complex128)
     value, weights = _information(c, g)
     pairs = collections.deque(maxlen=_MEMORY)
     step = _FIRST_STEP
-    snapped = False
     for iteration in range(1, config.max_iters + 1):
-        grad = tangent_project(c, _information_gradient(c, weights)).view(np.float64)
+        grad = tangent_project(x, _information_gradient(c, weights).real)
         grad_squared = np.dot(grad, grad)
         if grad_squared <= config.convergence_tol**2:
             break
-        x = c.view(np.float64)
         if iteration > 1:
             s, y = x - x_old, grad_old - grad
             sy = float(np.dot(s, y))
@@ -269,8 +242,8 @@ def _ascend(c0, config):
         while t > _MIN_STEP:
             trial = x + t * direction
             trial /= np.sqrt(np.dot(trial, trial))
-            trial = trial.view(np.complex128)
-            trial_value, trial_weights = _information(trial, g)
+            trial_c = trial.astype(np.complex128)
+            trial_value, trial_weights = _information(trial_c, g)
             if trial_value >= value + _SUFFICIENT * t * slope:
                 break
             t *= 0.5
@@ -280,19 +253,9 @@ def _ascend(c0, config):
         if trial_value <= value:
             # The gain is below rounding: no step can certify a smaller gradient.
             break
-        c, value, weights = trial, trial_value, trial_weights
+        x, c, value, weights = trial, trial_c, trial_value, trial_weights
         if steepest:
             step *= 2.0 if t == 1.0 else t
-        if not snapped and grad_squared < _SNAP_GRADIENT**2:
-            snapped = True
-            snap = _snap(c, value, g)
-            if snap is not None:
-                phase, c, value, weights = snap
-                # The gauge map is an isometry, so the memory turns with c; each
-                # of these arrays owns its buffer, c no longer shares x_old's.
-                for v in [x_old, grad_old] + [a for s, y, _ in pairs for a in (s, y)]:
-                    z = v.view(np.complex128)
-                    z *= phase
     else:
         return c, value, config.max_iters, False
     return c, value, iteration, True
@@ -306,7 +269,7 @@ def _require_config(config):
 def _run_start(config, item):
     """One seeded start, item = (cutoff, seed): (c, value, iters, converged)."""
     n, seed = item
-    return _ascend(random_state(n, int(seed)).amplitudes, config)
+    return _ascend(np.abs(random_state(n, int(seed)).amplitudes), config)
 
 
 def _best(runs):

@@ -102,6 +102,8 @@ def test_density_error_matrix():
     cases.append((both, None, "density values must be finite"))
     # finite values whose sum overflows
     cases.append((np.full(g, 1e307), None, "density integrates to inf, expected 1 within 1e-9"))
+    for bad in (flat.reshape(8, 8), np.array([])):
+        cases.append((bad, None, "density values must form a non-empty 1-d array"))
     for bad in (np.nan, np.inf):
         bad_logs = logs.copy()
         bad_logs[3] = bad

@@ -48,6 +48,11 @@ def test_dumps_json_shapes():
     assert parsed["e"] == "inf"
     assert parsed["f"] == [[1.0, 2.0], [3.0, 4.0]]
     assert text.endswith("\n")
+    assert dumps_json({}) == "{}\n"
+    assert dumps_json([]) == "[]\n"
+    with pytest.raises(TypeError) as info:
+        dumps_json({"a": object()})
+    assert str(info.value) == "cannot serialize <class 'object'>"
 
 
 def test_dumps_json_bytes_are_pinned():

@@ -9,7 +9,7 @@ import pytest
 import phaseinfo as pi
 from phaseinfo import ConfigurationError
 from phaseinfo.circular import _information
-from phaseinfo.optimizer import _ascend, _snap
+from phaseinfo.optimizer import _ascend
 
 # Best information at cutoff 2, frozen from an independent search: a dense
 # scan of the two spherical angles of real nonnegative amplitude triples
@@ -145,7 +145,7 @@ def test_ascent_is_monotone():
     # values along the prefixes rise strictly from the start's value.
     for n_max, seed in ((1, 3), (4, 99), (8, 5), (16, 12345)):
         config = pi.OptimizerConfig(max_photon=n_max)
-        c0 = pi.random_state(n_max, seed).amplitudes
+        c0 = np.abs(pi.random_state(n_max, seed).amplitudes)
         _, value, iters, converged = _ascend(c0, config)
         assert converged
         last = _information(c0 / np.linalg.norm(c0), config.grid_size)[0]
@@ -162,7 +162,7 @@ def test_stop_certifies_the_tangent_gradient():
     # tangent gradient, not on a stalled gain.
     for n_max, seed in ((8, 0), (16, 12345), (32, 7)):
         config = pi.OptimizerConfig(max_photon=n_max)
-        c, _, _, converged = _ascend(pi.random_state(n_max, seed).amplitudes, config)
+        c, _, _, converged = _ascend(np.abs(pi.random_state(n_max, seed).amplitudes), config)
         assert converged
         state = pi.normalize(c)
         grad = pi.tangent_project(state.amplitudes, pi.objective_gradient(state))
@@ -170,8 +170,8 @@ def test_stop_certifies_the_tangent_gradient():
 
 
 def test_whole_node_shifts_leave_the_gridded_objective_unchanged():
-    # The premise of the snap: c_n -> exp(2 pi i n k / G) c_n shifts the
-    # density by k whole nodes, an exact symmetry of the gridded objective.
+    # c_n -> exp(2 pi i n k / G) c_n shifts the density by k whole nodes, an
+    # exact symmetry of the gridded objective; a sub-node shift is not one.
     g = 4096
     for state in [pi.random_state(24, k) for k in range(4)] + [pi.sine_state(24)]:
         c = state.amplitudes
@@ -181,36 +181,24 @@ def test_whole_node_shifts_leave_the_gridded_objective_unchanged():
             assert abs(_information(shifted, g)[0] - value) <= 1e-14
 
 
-def _first_moment_angle(c):
-    return float(np.angle(np.vdot(c[1:], c[:-1])))
-
-
-def test_snap_only_raises_the_value_and_places_the_mean_on_a_quarter_node():
-    g = 4096
-    quarter = 2 * np.pi / g / 4
-    starts = [pi.random_state(24, k).amplitudes for k in range(4)]
-    starts += [pi.sine_state(24).amplitudes, pi.random_state(8, 1).amplitudes]
-    # Near-optimal states, where the snap runs inside the search.
-    starts += [_ascend(pi.random_state(n, 5).amplitudes, pi.OptimizerConfig(max_photon=n))[0]
-               for n in (8, 16, 32)]
-    kept = 0
-    for c in starts:
-        value = _information(c, g)[0]
-        snap = _snap(c, value, g)
-        if snap is None:
-            continue
-        kept += 1
-        phase, placed, placed_value, weights = snap
-        assert placed_value > value
-        assert np.array_equal(placed, c * phase)
-        again = _information(placed, g)
-        assert again[0] == placed_value
-        assert again[1].tobytes() == weights.tobytes()
-        turns = _first_moment_angle(placed) / quarter
-        assert abs(turns - round(turns)) <= 1e-6
-        # No placement beats the one kept.
-        assert _snap(placed, placed_value, g) is None
-    assert kept >= 3
+def test_search_ends_real_at_a_local_maximum_over_complex_states():
+    # The search runs over real vectors.  Its optimum is real, and no
+    # complex perturbation off the gauge orbit gains: the orbit directions
+    # i c and i n c are excluded, since along them J only ripples.
+    rng = np.random.default_rng(2024)
+    for n_max in (4, 8, 16):
+        result = pi.optimize_state(pi.OptimizerConfig(max_photon=n_max))
+        c = result.state.amplitudes
+        assert np.all(c.imag == 0.0)
+        # c, i c and i n c in the real coordinates (Re, Im), orthonormalized.
+        fixed = np.stack([c, 1j * c, 1j * np.arange(c.size) * c], axis=1)
+        fixed = np.linalg.qr(np.concatenate((fixed.real, fixed.imag)))[0]
+        for _ in range(20):
+            u = rng.standard_normal(2 * c.size)
+            u -= fixed @ (fixed.T @ u)
+            u = (u[: c.size] + 1j * u[c.size :]) / np.linalg.norm(u)
+            moved = pi.normalize(c + 1e-3 * u).amplitudes
+            assert _information(moved, 4096)[0] < result.information
 
 
 def test_starts_agree_at_cutoff_64():
@@ -225,7 +213,7 @@ def test_tolerance_below_rounding_stops_converged():
     # No step can certify a gradient of 1e-14; the run still ends as soon as
     # the gains vanish in rounding, long before the iteration cap.
     config = pi.OptimizerConfig(max_photon=8, convergence_tol=1e-14, max_iters=200)
-    _, _, iters, converged = _ascend(pi.random_state(8, 0).amplitudes, config)
+    _, _, iters, converged = _ascend(np.abs(pi.random_state(8, 0).amplitudes), config)
     assert converged and iters < 200
 
 
@@ -327,8 +315,8 @@ def test_result_reports_best_start():
     assert len(result.per_start_converged) == 5
     assert pi.mutual_information_single(result.state) == result.information
     # The state is the winning start as its search left it, so it gives back
-    # the reported value bit for bit; at cutoff 24 a gauge fix after the
-    # ripple snap loses 2.1e-8 of it.
+    # the reported value bit for bit; a sub-node gauge shift would move it
+    # along the grid's ripple.
     result = pi.optimize_state(pi.OptimizerConfig(max_photon=24, starts=4, seed=7))
     assert pi.mutual_information_single(result.state) == result.information
 

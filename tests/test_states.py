@@ -28,6 +28,15 @@ def test_normalize_rejects_bad_input():
 def test_state_vector_norm_gate():
     with pytest.raises(InvalidStateError):
         pi.StateVector(np.array([1.0, 1.0]))
+    # Built directly, without normalize's own refusals in front.
+    for bad, message in (
+        (np.eye(2), "amplitudes must be one-dimensional, got shape (2, 2)"),
+        (np.array([]), "state needs at least one amplitude"),
+        (np.array([1.0, np.nan]), "amplitudes contain non-finite entries"),
+    ):
+        with pytest.raises(InvalidStateError) as info:
+            pi.StateVector(bad)
+        assert str(info.value) == message
     ok = pi.StateVector(np.array([1.0, 0.0], dtype=complex))
     assert ok.max_photon == 1
     assert ok.dim == 2
