@@ -1,10 +1,10 @@
 """Run ``[fn(x) for x in items]`` on every CPU this process may use.
 
-The optimizer's starts and the Monte Carlo trials of the information bracket
-reach the CPUs through :func:`_fan_out`, a pool of forked workers kept between
-calls.  The pool knows nothing of states or of the package's other modules: it
-moves pickled functions, items and results between processes, imports only
-the standard library, and returns what the plain loop would.
+The Monte Carlo trials of the information bracket reach the CPUs through
+:func:`_fan_out`, a pool of forked workers kept between calls.  The pool
+knows nothing of states or of the package's other modules: it moves pickled
+functions, items and results between processes, imports only the standard
+library, and returns what the plain loop would.
 """
 
 import atexit

@@ -232,7 +232,7 @@ def test_optimize_json_structure(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["max_photon"] == 2
     assert doc["converged"] is True
-    assert len(doc["per_start"]) == 16
+    assert len(doc["per_start"]) == pi.OptimizerConfig.starts
     assert doc["information_nats"] == max(doc["per_start"])
     assert abs(doc["information_nats"] - 0.61370563895) <= 1e-4
     # the embedded state document is itself a loadable state file
@@ -311,7 +311,7 @@ def test_sweep_zero_cutoff_bytes(capsys):
 def test_sweep_unconverged_exit_code(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
-        ["sweep", "--n-max", "2", "--max-iters", "1", "--starts", "2", "--out", str(out)]
+        ["sweep", "--n-max", "4", "--max-iters", "1", "--starts", "2", "--out", str(out)]
     )
     assert code == 3
     lines = out.read_text().strip().split("\n")

@@ -1,10 +1,10 @@
-"""phaseinfo._pool: the fork pool of optimizer starts and Monte Carlo trials.
+"""phaseinfo._pool: the fork pool of the Monte Carlo trials.
 
 The pool is a leaf of the package, reached through its module only.
 perfbench's tracer wraps every function that one phaseinfo module binds by
 name from another and charges its calls to the layer of the module that
 defines it.  It has no layer for ``_pool``, so a traced run fails on such a
-binding; ``optimizer`` and ``bounds`` call ``_pool._fan_out`` instead.
+binding; ``bounds`` calls ``_pool._fan_out`` instead.
 """
 
 import ast
@@ -53,8 +53,8 @@ def test_the_pool_is_a_stdlib_leaf_that_no_module_binds_by_name():
     assert [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
-# _pool._fan_out: the fan-out of optimizer starts and Monte Carlo trials.  Work
-# crosses a pipe to the workers, so it must be module-level functions.
+# _pool._fan_out: the fan-out of Monte Carlo trials.  Work crosses a pipe to
+# the workers, so it must be module-level functions.
 
 
 def _cpus(monkeypatch, count):
@@ -125,6 +125,16 @@ def test_fan_out_results_do_not_depend_on_the_cpu_count(monkeypatch):
     assert _worker_pids() == pids
     _assert_queue_empty()
     _pool._close_pool()
+    _assert_no_child_left()
+
+
+def test_the_optimizer_forks_no_worker(monkeypatch):
+    # Its starts run in a plain loop, on any CPU count.
+    _pool._close_pool()
+    _cpus(monkeypatch, 2)
+    pi.optimize_state(pi.OptimizerConfig(max_photon=6, starts=3))
+    pi.bound_sweep(pi.OptimizerConfig(max_photon=4))
+    assert _pool._pool == []
     _assert_no_child_left()
 
 
