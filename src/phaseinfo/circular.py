@@ -13,6 +13,10 @@ Conventions used throughout:
 * mutual information of a single measurement is log(2 pi) minus the entropy
   of the canonical measurement density.
 
+Every grid transform of a state lives here: the canonical density, the
+likelihood rows of the posterior and the sampler, the Fisher integrand, and
+the objective's gradient.
+
 The table exp(i phi_k) that the first circular moment sums against depends
 only on G; it is built once per grid size and cached read-only.
 
@@ -21,8 +25,7 @@ coefficients, so it is evaluated by polyphase decomposition: node
 k = q + Q l splits into Q interleaved subgrids of L = G / Q nodes, each one
 real inverse FFT of length L of the lags twiddled by exp(i m phi_q).  The
 Q transforms run as one batch, and the twiddle table depends only on
-(G, L), so it is built once and cached read-only like the unit circle; so is
-the conjugate slice of it that the objective's gradient sums against.
+(G, L), so it is built once and cached read-only like the unit circle.
 """
 
 import functools
@@ -34,14 +37,9 @@ from .errors import (
     ConfigurationError,
     DegeneratePosteriorError,
     InvalidDensityError,
+    InvalidStateError,
 )
-from .states import (
-    TWO_PI,
-    _likelihood_rows,
-    _require_grid_room,
-    _require_integer,
-    phase_amplitude_grid,
-)
+from .states import TWO_PI, _require_integer
 
 __all__ = [
     "LOG_TWO_PI",
@@ -189,6 +187,31 @@ def uniform_prior(grid_size):
     return CircularDensity(vals, logs)
 
 
+def _require_grid_room(grid_size, dim):
+    """Refuse a grid with fewer nodes than amplitudes, which would alias them."""
+    if grid_size < dim:
+        raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, dim))
+
+
+def _likelihood_rows(amplitudes, offsets, grid_size, out=None):
+    """Canonical likelihood on the grid phi_k = 2 pi k / G, one row per offset.
+
+    Row j is |f(x_j - phi_k)|^2 / (2 pi) with f(phi) = sum_n c_n e^{i n phi},
+    the length-G DFT of c_n e^{i n x_j}: the posterior's view of outcome
+    x_j.  The sampler passes the conjugated amplitudes, which turns row j
+    into |f(phi_k - x_j)|^2 / (2 pi), its outcome table at true phase x_j.
+    Offsets are reduced mod 2 pi first.  The rows are written into ``out``,
+    a float64 array of shape (len(offsets), G), and ``out`` is returned;
+    without it they go into a fresh array.  Either way the caller may
+    overwrite them, and the bytes are the same.
+    """
+    _require_grid_room(grid_size, amplitudes.size)
+    x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
+    phase = np.multiply.outer(x, np.arange(amplitudes.size))
+    rows = np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size), out=out)
+    return np.divide(np.square(rows, out=rows), TWO_PI, out=rows)
+
+
 @functools.lru_cache(maxsize=4)
 def _twiddles(grid_size, sub_length):
     """exp(i m phi_q) for q < G / L and m <= L / 2, read-only, shape (Q, L/2 + 1)."""
@@ -252,27 +275,20 @@ def _information(c, grid_size):
     return (value if value > 0.0 else 0.0), weights
 
 
-@functools.lru_cache(maxsize=8)
-def _conjugate_twiddles(grid_size, sub_length, size):
-    """conj(``_twiddles``) for m < size, read-only, shape (Q, size)."""
-    tw = _twiddles(grid_size, sub_length)[:, :size].conj()
-    tw.flags.writeable = False
-    return tw
-
-
 def _information_gradient(c, weights):
     """Wirtinger gradient d I_1 / d conj(c) from ``_information``'s weights.
 
-    One batched real FFT of the weights along the rows of the (Q, L) layout, a
-    sum of its Q rows against the conjugate twiddles, then a Toeplitz product.
+    One batched ihfft of the weights along the rows of the (Q, L) layout, which
+    is conj(rfft) / L, a sum of its Q rows against the twiddles of
+    ``_canonical_values``, conjugated back, then a Toeplitz product.
     """
     # d/d(conj c_n) of the gridded objective, (1/G) sum_k w_k f_k e^{-i n phi_k}
     # with w = 1 + log P (0 at masked nodes), equals sum_j W_{(n-j) mod G} c_j
     # for W = DFT(w) / G.
     # In the (Q, L) layout W_m = (1/Q) sum_q e^{-i m phi_q} DFT_L(w[q])_m / L.
     q, sub = weights.shape
-    w = np.fft.rfft(weights, norm="forward")[:, : c.size]
-    w = np.einsum("qm,qm->m", w, _conjugate_twiddles(q * sub, sub, w.shape[1])) / q
+    w = np.fft.ihfft(weights)[:, : c.size]
+    w = np.conj(np.einsum("qm,qm->m", w, _twiddles(q * sub, sub)[:, : w.shape[1]])) / q
     if c.size > w.size:
         # Lags past G/2 (only with Q = 1) are conjugates of their mirror images.
         w = np.concatenate((w, np.conj(w[sub - np.arange(w.size, c.size)])))
@@ -400,10 +416,13 @@ def fisher_information(state, grid_size=4096):
     F = integral of P'(phi)^2 / P(phi).  At isolated zeros of P the integrand
     extends continuously to 4 |f'(phi)|^2 / (2 pi) with f the phase amplitude;
     nodes where P falls below 1e-14 use that limit form, which keeps the
-    quadrature spectrally accurate through the zeros.
+    quadrature spectrally accurate through the zeros.  f and f' on the grid
+    are the unscaled inverse DFTs of the zero-padded c_n and i n c_n.  A grid
+    with fewer nodes than amplitudes raises InvalidStateError.
     """
     g = validate_grid_size(grid_size)
-    fvals = phase_amplitude_grid(state, g)
+    _require_grid_room(g, state.dim)
+    fvals = np.fft.ifft(state.amplitudes, n=g, norm="forward")
     n = np.arange(state.dim)
     fprime = np.fft.ifft(1j * n * state.amplitudes, n=g, norm="forward")
     p = np.abs(fvals) ** 2 / TWO_PI

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import _wrap_phase, validate_grid_size
+from .circular import _likelihood_rows, _wrap_phase, validate_grid_size
 from .errors import ConfigurationError
-from .states import TWO_PI, _likelihood_rows, _require_integer, phase_amplitude
+from .states import TWO_PI, _require_integer, phase_amplitude
 
 __all__ = [
     "likelihood_density",

@@ -24,7 +24,6 @@ __all__ = [
     "random_state",
     "gauge_transform",
     "phase_amplitude",
-    "phase_amplitude_grid",
     "state_to_dict",
     "state_from_dict",
     "load_state",
@@ -65,12 +64,6 @@ def _norm(amps):
     """Euclidean norm as a float; inf, without numpy's warning, when it overflows."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(amps))
-
-
-def _require_grid_room(grid_size, dim):
-    """Refuse a grid with fewer nodes than amplitudes, which would alias them."""
-    if grid_size < dim:
-        raise InvalidStateError("grid of %d nodes cannot hold %d amplitudes" % (grid_size, dim))
 
 
 @dataclass(frozen=True)
@@ -228,36 +221,6 @@ def phase_amplitude(state, angles):
     if angles.ndim == 0:
         return complex(values)
     return values
-
-
-def phase_amplitude_grid(state, grid_size):
-    """f(phi_k) on the uniform grid phi_k = 2 pi k / G, via a single inverse FFT.
-
-    Requires ``grid_size >= state.dim`` so the amplitude vector fits in the
-    frequency slots without aliasing.
-    """
-    _require_grid_room(grid_size, state.dim)
-    # Unscaled inverse DFT of the zero-padded amplitudes: entry k is f(phi_k).
-    return np.fft.ifft(state.amplitudes, n=grid_size, norm="forward")
-
-
-def _likelihood_rows(amplitudes, offsets, grid_size, out=None):
-    """Canonical likelihood on the grid phi_k = 2 pi k / G, one row per offset.
-
-    Row j is |f(x_j - phi_k)|^2 / (2 pi) with f(phi) = sum_n c_n e^{i n phi},
-    the length-G DFT of c_n e^{i n x_j}: the posterior's view of outcome
-    x_j.  The sampler passes the conjugated amplitudes, which turns row j
-    into |f(phi_k - x_j)|^2 / (2 pi), its outcome table at true phase x_j.
-    Offsets are reduced mod 2 pi first.  The rows are written into ``out``,
-    a float64 array of shape (len(offsets), G), and ``out`` is returned;
-    without it they go into a fresh array.  Either way the caller may
-    overwrite them, and the bytes are the same.
-    """
-    _require_grid_room(grid_size, amplitudes.size)
-    x = np.mod(np.asarray(offsets, dtype=np.float64), TWO_PI)
-    phase = np.multiply.outer(x, np.arange(amplitudes.size))
-    rows = np.abs(np.fft.fft(amplitudes * np.exp(1j * phase), n=grid_size), out=out)
-    return np.divide(np.square(rows, out=rows), TWO_PI, out=rows)
 
 
 def state_to_dict(state):

@@ -18,6 +18,7 @@ from phaseinfo import (
     PhaseinfoError,
     circular,
 )
+from phaseinfo.circular import _likelihood_rows
 
 from conftest import independent_density, independent_entropy
 
@@ -145,7 +146,8 @@ def test_canonical_density_matches_amplitude_grid():
             if n_max >= g:
                 continue
             for state in (pi.random_state(n_max, 7 + n_max), pi.sine_state(n_max)):
-                ref = np.abs(pi.phase_amplitude_grid(state, g)) ** 2 / (2 * np.pi)
+                f = np.fft.ifft(state.amplitudes, n=g, norm="forward")
+                ref = np.abs(f) ** 2 / (2 * np.pi)
                 d = pi.canonical_density(state, g)
                 assert np.max(np.abs(d.values - ref)) <= 1e-14 * ref.max()
     with pytest.raises(InvalidStateError):
@@ -156,6 +158,87 @@ def test_canonical_density_matches_amplitude_grid():
     assert tw.shape == (16, 129)
     with pytest.raises(ValueError):
         tw[0, 0] = 0.0
+
+
+def _fisher_two_ifft(state, g):
+    # f and f' on the grid from two inverse DFTs of the zero-padded amplitudes.
+    c = state.amplitudes
+    f = np.fft.ifft(c, n=g, norm="forward")
+    fprime = np.fft.ifft(1j * np.arange(c.size) * c, n=g, norm="forward")
+    p = np.abs(f) ** 2 / (2 * np.pi)
+    pprime = 2.0 * np.real(np.conj(f) * fprime) / (2 * np.pi)
+    integrand = 4.0 * np.abs(fprime) ** 2 / (2 * np.pi)
+    np.divide(pprime**2, p, out=integrand, where=p > 1e-14)
+    return f, float(integrand.sum()) * 2 * np.pi / g
+
+
+def test_fisher_information_matches_the_two_ifft_reference_bit_for_bit():
+    # G < 2N + 1 at N = 40 and 63 on 64 nodes and at N = 200 on 256.
+    for n_max in (0, 1, 12, 32, 40, 63, 200):
+        for g in (64, 128, 256, 512, 1024, 4096):
+            if n_max >= g:
+                continue
+            for state in (pi.random_state(n_max, 5 + n_max), pi.sine_state(n_max)):
+                f, ref = _fisher_two_ifft(state, g)
+                assert pi.fisher_information(state, g) == ref
+                if g == 256:
+                    # The reference's f against the pointwise sum.
+                    direct = pi.phase_amplitude(state, pi.grid_angles(g))
+                    assert np.allclose(direct, f, atol=1e-12)
+
+
+def test_fisher_information_rejects_a_grid_narrower_than_the_state():
+    with pytest.raises(InvalidStateError, match="grid of 64 nodes cannot hold 65 amplitudes"):
+        pi.fisher_information(pi.random_state(64, 0), 64)
+
+
+@pytest.mark.parametrize("grid_size", [64, 4096])
+@pytest.mark.parametrize("max_photon", [0, 1, 8, 32])
+def test_likelihood_rows_match_dense_density(max_photon, grid_size):
+    # The FFT kernel against the pointwise sum at random off-grid offsets, in
+    # both orientations: the posterior's f(x - phi_k) from the amplitudes and
+    # the sampler's f(phi_k - t) from their conjugates.
+    s = pi.random_state(max_photon, 21)
+    x = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 20)
+    nodes = pi.grid_angles(grid_size)
+    for amps, delta in (
+        (s.amplitudes, np.subtract.outer(x, nodes)),
+        (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
+    ):
+        rows = _likelihood_rows(amps, x, grid_size)
+        dense = pi.likelihood_density(s, delta)
+        assert rows.shape == (x.size, grid_size)
+        live = dense > 1e-12
+        assert np.all(np.abs(rows - dense)[live] <= 1e-12 * dense[live])
+
+
+def test_likelihood_rows_near_density_zeros():
+    # Sine states vanish on the circle; near a zero both evaluations carry
+    # float64 cancellation error, so agreement is absolute, on the peak scale.
+    x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 20)
+    nodes = pi.grid_angles(4096)
+    for n in (1, 8, 32):
+        s = pi.sine_state(n)
+        for amps, delta in (
+            (s.amplitudes, np.subtract.outer(x, nodes)),
+            (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
+        ):
+            dense = pi.likelihood_density(s, delta)
+            rows = _likelihood_rows(amps, x, 4096)
+            assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
+
+
+def test_likelihood_rows_write_into_out_with_the_same_bytes():
+    # A full 16-row buffer and a partial 5-row view of it: the rows land in
+    # the buffer, which is returned, with the bytes of a fresh evaluation.
+    s = pi.random_state(32, 2)
+    x = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 16)
+    for grid_size in (64, 4096):
+        buf = np.empty((16, grid_size))
+        for k in (16, 5):
+            view = buf[:k]
+            assert _likelihood_rows(s.amplitudes, x[:k], grid_size, out=view) is view
+            assert view.tobytes() == _likelihood_rows(s.amplitudes, x[:k], grid_size).tobytes()
 
 
 def test_canonical_density_of_fock_is_flat():

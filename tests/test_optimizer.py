@@ -1,5 +1,4 @@
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,19 +321,6 @@ def test_result_reports_best_start():
     # along the grid's ripple.
     result = pi.optimize_state(pi.OptimizerConfig(max_photon=24, starts=4, seed=7))
     assert pi.mutual_information_single(result.state) == result.information
-
-
-def test_multistart_spread_is_flagged_not_fatal():
-    result = pi.optimize_state(pi.OptimizerConfig(max_photon=4))
-    converged_values = [
-        v for v, ok in zip(result.per_start, result.per_start_converged) if ok
-    ]
-    spread = max(converged_values) - min(converged_values)
-    if spread > 1e-6:
-        warnings.warn(
-            "converged starts spread %.3g at cutoff 4; objective may be "
-            "multimodal here" % spread
-        )
 
 
 def test_unconverged_run_still_returns_best():

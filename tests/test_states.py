@@ -5,7 +5,6 @@ import pytest
 
 import phaseinfo as pi
 from phaseinfo import ConfigurationError, InvalidStateError
-from phaseinfo.states import _likelihood_rows
 
 
 def test_normalize_equal_pair():
@@ -124,63 +123,6 @@ def test_gauge_transform_preserves_norm_and_shifts_density():
             pi.gauge_transform(s, alpha, beta)
 
 
-def test_phase_amplitude_grid_matches_direct_evaluation():
-    s = pi.random_state(12, 5)
-    g = 256
-    direct = pi.phase_amplitude(s, pi.grid_angles(g))
-    fast = pi.phase_amplitude_grid(s, g)
-    assert np.allclose(direct, fast, atol=1e-12)
-
-
-@pytest.mark.parametrize("grid_size", [64, 4096])
-@pytest.mark.parametrize("max_photon", [0, 1, 8, 32])
-def test_likelihood_rows_match_dense_density(max_photon, grid_size):
-    # The FFT kernel against the pointwise sum at random off-grid offsets, in
-    # both orientations: the posterior's f(x - phi_k) from the amplitudes and
-    # the sampler's f(phi_k - t) from their conjugates.
-    s = pi.random_state(max_photon, 21)
-    x = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 20)
-    nodes = pi.grid_angles(grid_size)
-    for amps, delta in (
-        (s.amplitudes, np.subtract.outer(x, nodes)),
-        (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
-    ):
-        rows = _likelihood_rows(amps, x, grid_size)
-        dense = pi.likelihood_density(s, delta)
-        assert rows.shape == (x.size, grid_size)
-        live = dense > 1e-12
-        assert np.all(np.abs(rows - dense)[live] <= 1e-12 * dense[live])
-
-
-def test_likelihood_rows_near_density_zeros():
-    # Sine states vanish on the circle; near a zero both evaluations carry
-    # float64 cancellation error, so agreement is absolute, on the peak scale.
-    x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 20)
-    nodes = pi.grid_angles(4096)
-    for n in (1, 8, 32):
-        s = pi.sine_state(n)
-        for amps, delta in (
-            (s.amplitudes, np.subtract.outer(x, nodes)),
-            (np.conj(s.amplitudes), np.subtract.outer(nodes, x).T),
-        ):
-            dense = pi.likelihood_density(s, delta)
-            rows = _likelihood_rows(amps, x, 4096)
-            assert np.max(np.abs(rows - dense)) <= 1e-13 * np.max(dense)
-
-
-def test_likelihood_rows_write_into_out_with_the_same_bytes():
-    # A full 16-row buffer and a partial 5-row view of it: the rows land in
-    # the buffer, which is returned, with the bytes of a fresh evaluation.
-    s = pi.random_state(32, 2)
-    x = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 16)
-    for grid_size in (64, 4096):
-        buf = np.empty((16, grid_size))
-        for k in (16, 5):
-            view = buf[:k]
-            assert _likelihood_rows(s.amplitudes, x[:k], grid_size, out=view) is view
-            assert view.tobytes() == _likelihood_rows(s.amplitudes, x[:k], grid_size).tobytes()
-
-
 def test_grid_likelihood_refuses_states_wider_than_the_grid():
     # a length-64 FFT cannot hold 101 amplitudes without aliasing
     s = pi.random_state(100, 0)
@@ -201,12 +143,6 @@ def test_phase_amplitude_scalar():
     for bad in (np.inf, -np.inf, np.nan, [0.5, np.nan]):
         with pytest.raises(ConfigurationError, match="angles must be finite"):
             pi.phase_amplitude(s, bad)
-
-
-def test_phase_amplitude_grid_rejects_small_grid():
-    s = pi.random_state(8, 0)
-    with pytest.raises(InvalidStateError):
-        pi.phase_amplitude_grid(s, 4)
 
 
 def test_dict_round_trip_exact():
