@@ -231,7 +231,10 @@ def _canonical_values(amplitudes, grid_size):
     inverse FFT of length L of r_m exp(i m phi_q), all Q rows in one batch.
     Lags m >= L/2 occur only when L = G (Q = 1, no twiddle) and alias onto
     the Hermitian half spectrum at G - m as conj(r_m).  May round below zero.
+    The objective's one complex cast is here (a no-op for a StateVector):
+    np.correlate rounds the lags of a real vector differently.
     """
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     n = amplitudes.size
     _require_grid_room(grid_size, n)
     sub = min(grid_size, max(256, 1 << (2 * n - 1).bit_length()))
@@ -422,9 +425,8 @@ def fisher_information(state, grid_size=4096):
     """
     g = validate_grid_size(grid_size)
     _require_grid_room(g, state.dim)
-    fvals = np.fft.ifft(state.amplitudes, n=g, norm="forward")
-    n = np.arange(state.dim)
-    fprime = np.fft.ifft(1j * n * state.amplitudes, n=g, norm="forward")
+    c = state.amplitudes
+    fvals, fprime = np.fft.ifft(np.stack((c, 1j * np.arange(c.size) * c)), n=g, norm="forward")
     p = np.abs(fvals) ** 2 / TWO_PI
     pprime = 2.0 * np.real(np.conj(fvals) * fprime) / TWO_PI
     integrand = 4.0 * np.abs(fprime) ** 2 / TWO_PI
@@ -485,15 +487,21 @@ class InformationReport:
 
 
 def information_report(state, grid_size=4096):
-    """Evaluate every single-measurement functional on one shared density."""
-    density = canonical_density(state, grid_size)
-    h = entropy(density)
+    """Evaluate every single-measurement functional on one canonical density.
+
+    The entropy is ``_information``'s polyphase sum, so ``mutual_information``
+    is ``mutual_information_single`` bit for bit; ``entropy`` of the density
+    sums in node order and may differ by rounding.
+    """
+    g = validate_grid_size(grid_size)
+    values = _canonical_values(state.amplitudes, g)
+    h = -_plogp(values)[0] * TWO_PI / g
     info = LOG_TWO_PI - h
-    moments = circular_moments(density)
+    moments = circular_moments(CircularDensity(np.maximum(values.T.ravel(), 0.0)))
     return InformationReport(
         entropy=h,
         mutual_information=info if info > 0.0 else 0.0,
-        fisher_information=fisher_information(state, grid_size),
+        fisher_information=fisher_information(state, g),
         mean_resultant_length=moments.mean_resultant_length,
         circular_variance=moments.circular_variance,
         holevo_variance=moments.holevo_variance,

@@ -17,9 +17,10 @@ Each start is a limited-memory BFGS ascent on the real unit sphere
 from the moduli of ``sine_state(N)``:
 
 * objective and Wirtinger gradient from ``circular._information`` and
-  ``_information_gradient`` at the complex cast of each iterate, whose
-  docstrings give the polyphase layout; each iteration projects the real
-  part of the gradient onto the sphere's tangent space once;
+  ``_information_gradient`` at each real iterate, whose docstrings give the
+  polyphase layout (the complex cast lives in ``_canonical_values``); each
+  iteration projects the real part of the gradient onto the sphere's
+  tangent space once;
 * the direction is the two-loop recursion over the last 5 curvature pairs,
   skipping a pair with s.y <= 0 and scaling by s.y / y.y; with no pairs, or
   when the recursion does not point uphill, the memory restarts from the
@@ -205,22 +206,20 @@ def _direction(grad, pairs, step):
 
 
 def _ascend(x0, config):
-    """Run one L-BFGS start on the real sphere; returns (c, value, iters, converged).
+    """Run one L-BFGS start on the real sphere; returns (x, value, iters, converged).
 
-    ``x0`` is a real start vector; ``c`` is the complex cast of the last
-    iterate, the vector ``value`` was evaluated at.
+    ``x0`` is a real start vector; ``x`` is the last iterate, the vector
+    ``value`` was evaluated at.  The objective takes each real iterate as it
+    is; ``_canonical_values`` casts it to complex.
     """
     g = config.grid_size
     x = np.array(x0, dtype=np.float64)
     x /= np.linalg.norm(x)
-    # J is evaluated at the complex cast, the array a StateVector of x holds:
-    # np.correlate rounds the lags of a real vector differently.
-    c = x.astype(np.complex128)
-    value, weights = _information(c, g)
+    value, weights = _information(x, g)
     pairs = collections.deque(maxlen=_MEMORY)
     step = _FIRST_STEP
     for iteration in range(1, config.max_iters + 1):
-        grad = tangent_project(x, _information_gradient(c, weights).real)
+        grad = tangent_project(x, _information_gradient(x, weights).real)
         grad_squared = np.dot(grad, grad)
         if grad_squared <= config.convergence_tol**2:
             break
@@ -243,8 +242,7 @@ def _ascend(x0, config):
         while t > _MIN_STEP:
             trial = x + t * direction
             trial /= np.sqrt(np.dot(trial, trial))
-            trial_c = trial.astype(np.complex128)
-            trial_value, trial_weights = _information(trial_c, g)
+            trial_value, trial_weights = _information(trial, g)
             if trial_value >= value + _SUFFICIENT * t * slope:
                 break
             t *= 0.5
@@ -254,12 +252,12 @@ def _ascend(x0, config):
         if trial_value <= value:
             # The gain is below rounding: no step can certify a smaller gradient.
             break
-        x, c, value, weights = trial, trial_c, trial_value, trial_weights
+        x, value, weights = trial, trial_value, trial_weights
         if steepest:
             step *= 2.0 if t == 1.0 else t
     else:
-        return c, value, config.max_iters, False
-    return c, value, iteration, True
+        return x, value, config.max_iters, False
+    return x, value, iteration, True
 
 
 def _require_config(config):
@@ -286,9 +284,9 @@ def optimize_state(config):
     runs = [_ascend(np.abs(start.amplitudes), config) for start in starts]
     values = [value for _, value, _, _ in runs]
     best = int(np.argmax(values))
-    best_c, _, best_iters, best_converged = runs[best]
+    best_x, _, best_iters, best_converged = runs[best]
     return OptimizationResult(
-        state=StateVector(best_c),
+        state=StateVector(best_x),
         information=float(values[best]),
         per_start=tuple(float(v) for v in values),
         per_start_converged=tuple(bool(run[3]) for run in runs),

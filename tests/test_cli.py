@@ -241,7 +241,7 @@ def test_optimize_json_structure(tmp_path, capsys):
     capsys.readouterr()
     assert main(["info", "--state", str(state_path)]) == 0
     info = json.loads(capsys.readouterr().out)
-    assert abs(info["mutual_information"] - doc["information_nats"]) <= 1e-13
+    assert info["mutual_information"] == doc["information_nats"]
 
 
 def test_optimize_deterministic_bytes(tmp_path):

@@ -1,8 +1,8 @@
 """The demos run end to end against the package source in ``src``.
 
 They are the only callers of the public API outside the CLI and the tests.
-The quick ones run as subprocesses in a scratch directory; the two that
-sweep cutoffs or run Monte Carlo curves are only byte-compiled.
+All but one run as subprocesses in a scratch directory, the cutoff sweep
+included; the one that runs Monte Carlo curves is only byte-compiled.
 """
 
 import os
@@ -18,7 +18,8 @@ DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
-    "name", ["single_mode_report", "flat_histogram_check", "posterior_evolution"]
+    "name",
+    ["single_mode_report", "flat_histogram_check", "posterior_evolution", "optimal_states"],
 )
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ)
@@ -36,7 +37,7 @@ def test_demo_runs(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["optimal_states", "repeated_measurements"])
+@pytest.mark.parametrize("name", ["repeated_measurements"])
 def test_demo_compiles(name, tmp_path):
     py_compile.compile(
         str(DEMOS / (name + ".py")), cfile=str(tmp_path / (name + ".pyc")), doraise=True

@@ -160,9 +160,9 @@ def test_stop_certifies_the_tangent_gradient():
     # tangent gradient, not on a stalled gain.
     for n_max, seed in ((8, 0), (16, 12345), (32, 7)):
         config = pi.OptimizerConfig(max_photon=n_max)
-        c, _, _, converged = _ascend(np.abs(pi.random_state(n_max, seed).amplitudes), config)
+        x, _, _, converged = _ascend(np.abs(pi.random_state(n_max, seed).amplitudes), config)
         assert converged
-        state = pi.normalize(c)
+        state = pi.normalize(x)
         grad = pi.tangent_project(state.amplitudes, pi.objective_gradient(state))
         assert np.linalg.norm(grad) <= config.convergence_tol
 
@@ -321,6 +321,11 @@ def test_result_reports_best_start():
     # along the grid's ripple.
     result = pi.optimize_state(pi.OptimizerConfig(max_photon=24, starts=4, seed=7))
     assert pi.mutual_information_single(result.state) == result.information
+    # The information report sums the same polyphase array, so it gives back
+    # the reported value bit for bit too.
+    assert pi.information_report(result.state).mutual_information == result.information
+    for point in pi.bound_sweep(pi.OptimizerConfig(max_photon=32)):
+        assert pi.information_report(point.state).mutual_information == point.information
 
 
 def test_unconverged_run_still_returns_best():

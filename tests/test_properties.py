@@ -89,6 +89,9 @@ def test_whole_cell_gauge_shifts_leave_every_functional_unchanged(
 )
 # At G = 64, N >= 32 folds lags past G / 2 onto the half spectrum (Q = 1).
 @example(kind="random", max_photon=40, index=0, grid=64)
+# The node-order sum of this density differs from the polyphase one in its
+# last bit, so only a report that takes the polyphase sum matches exactly.
+@example(kind="sine", max_photon=9, index=0, grid=4096)
 def test_single_shot_information_agrees_with_the_entropy_of_the_density(
     kind, max_photon, index, grid
 ):
@@ -103,15 +106,18 @@ def test_single_shot_information_agrees_with_the_entropy_of_the_density(
     tol = 1e-14 * max(1.0, abs(value))
     from_entropy = np.log(2.0 * np.pi) - pi.entropy(pi.canonical_density(state, grid))
     assert abs(value - max(0.0, from_entropy)) <= tol
-    assert abs(value - pi.information_report(state, grid).mutual_information) <= tol
+    # The report takes the polyphase sum the optimizer takes, so it gives back
+    # the same bits; the node-order sum above may differ by rounding.
+    report = pi.information_report(state, grid)
+    assert report.mutual_information == value
+    assert report.mutual_information == max(0.0, pi.LOG_TWO_PI - report.entropy)
 
 
 # Each option has a pool of accepted values and one of refused ones.  Every
-# call names each option, so that no default (grid 4096, 16 starts, 500
-# trials) runs, and draws at most one of them from its refused pool.  An
-# accepted value keeps the run small: cutoffs <= 4, trials and shots <= 5,
-# grids <= 256.  A huge refused value must be refused before anything is
-# allocated.
+# call names each option, so that no default (grid 4096, 500 trials) runs,
+# and draws at most one of them from its refused pool.  An accepted value
+# keeps the run small: cutoffs <= 4, trials and shots <= 5, grids <= 256.  A
+# huge refused value must be refused before anything is allocated.
 _HUGE = [str(2**62), str(2**70)]
 _GRID = ("--grid", ["64", "256"], ["100", "0", "x"] + _HUGE)
 _SEED = ("--seed", ["0", "7", str(2**128)], ["-1", "2.5"])
